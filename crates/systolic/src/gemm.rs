@@ -298,6 +298,36 @@ mod tests {
     fn fold_cycles_rejects_zero() {
         let _ = fold_cycles(0, 1, 1);
     }
+
+    /// Pins the full event sequence (order included) of a multi-fold GEMM
+    /// under each dataflow, with PE-fire and operand events switched on:
+    /// the SCALE-Sim CSV sink depends on that order, which the cycle,
+    /// phase and address-set tests do not see.
+    #[test]
+    fn event_stream_is_pinned() {
+        use fuseconv_trace::VecSink;
+        let cfg = ArrayConfig::new(3, 4).unwrap();
+        let a = tensor(&[7, 5], |ix| (ix[0] * 5 + ix[1]) as f32);
+        let b = tensor(&[5, 9], |ix| (ix[0] * 9 + ix[1]) as f32);
+        type Traced = fn(
+            &ArrayConfig,
+            &Tensor,
+            &Tensor,
+            &mut dyn TraceSink,
+        ) -> Result<SimResult, ConfigError>;
+        let runs: [(&str, Traced, u64); 3] = [
+            ("os", simulate_traced, 0x14ac_df89_e81e_6498),
+            ("ws", crate::ws_gemm::simulate_traced, 0xd0ec_be76_20a2_215c),
+            ("is", crate::is_gemm::simulate_traced, 0xe822_9263_cd47_4db4),
+        ];
+        for (name, run, want) in runs {
+            let mut sink = VecSink::default();
+            run(&cfg, &a, &b, &mut sink).unwrap();
+            let text: String = sink.events.iter().map(|e| format!("{e:?}\n")).collect();
+            let got = fuseconv_telemetry::fnv1a64(text.as_bytes());
+            assert_eq!(got, want, "{name}: {} events", sink.events.len());
+        }
+    }
 }
 
 #[cfg(test)]
