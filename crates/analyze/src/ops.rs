@@ -21,7 +21,7 @@
 use crate::diagnostics::{Diagnostic, Report, RuleId, Severity};
 use crate::mapping::analyze_mapping;
 use crate::memory::MemoryBudget;
-use fuseconv_latency::{Dataflow, LatencyError, LatencyModel};
+use fuseconv_latency::{LatencyError, LatencyModel};
 use fuseconv_models::Network;
 use fuseconv_nn::ops::Op;
 use fuseconv_systolic::legality::{canonical_mapping, DataflowKind};
@@ -40,11 +40,7 @@ const MAX_UTL003_FOLDS: u64 = 1_000_000;
 
 /// The legality-mapping kind a model's GEMM-lowered operators execute on.
 pub fn gemm_dataflow_kind(model: &LatencyModel) -> DataflowKind {
-    match model.dataflow() {
-        Dataflow::OutputStationary => DataflowKind::OutputStationary,
-        Dataflow::WeightStationary => DataflowKind::WeightStationary,
-        Dataflow::InputStationary => DataflowKind::InputStationary,
-    }
+    DataflowKind::gemm(model.dataflow())
 }
 
 /// The GEMM dimensions `(M, K, N)` an operator lowers to, or `None` for

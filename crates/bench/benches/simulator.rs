@@ -6,6 +6,7 @@ use fuseconv_bench::banner;
 use fuseconv_bench::micro::{BenchmarkId, Micro};
 use fuseconv_systolic::{conv1d, gemm, ArrayConfig};
 use fuseconv_tensor::Tensor;
+use fuseconv_trace::Dataflow;
 use std::hint::black_box;
 
 fn print_utilization() {
@@ -14,7 +15,7 @@ fn print_utilization() {
     // 16 channels of 3-tap filtering over 16 outputs each.
     let patches = Tensor::full(&[16, 9], 1.0).expect("patches");
     let kernel = Tensor::full(&[9, 1], 0.5).expect("kernel");
-    let one = gemm::simulate(&array, &patches, &kernel).expect("sim");
+    let one = gemm::simulate(&array, Dataflow::OutputStationary, &patches, &kernel).expect("sim");
     let im2col_cycles = one.cycles() * 16;
     let im2col_util = one.utilization(); // identical per channel
 
@@ -47,7 +48,15 @@ fn bench_simulator(c: &mut Micro) {
         let a = Tensor::full(&[2 * s, 24], 1.0).expect("a");
         let b_mat = Tensor::full(&[24, 2 * s], 1.0).expect("b");
         group.bench_with_input(BenchmarkId::from_parameter(s), &array, |bench, array| {
-            bench.iter(|| gemm::simulate(array, black_box(&a), black_box(&b_mat)).expect("sim"))
+            bench.iter(|| {
+                gemm::simulate(
+                    array,
+                    Dataflow::OutputStationary,
+                    black_box(&a),
+                    black_box(&b_mat),
+                )
+                .expect("sim")
+            })
         });
     }
     group.finish();
@@ -75,7 +84,15 @@ fn bench_simulator(c: &mut Micro) {
     // Table I evaluates thousands of them).
     c.bench_function("simulator/analytic_gemm_cycles", |b| {
         let array = ArrayConfig::square(64).expect("64");
-        b.iter(|| gemm::analytic_cycles(&array, black_box(12544), 64, 128))
+        b.iter(|| {
+            gemm::analytic_cycles(
+                &array,
+                Dataflow::OutputStationary,
+                black_box(12544),
+                64,
+                128,
+            )
+        })
     });
     c.bench_function("simulator/analytic_packed_cycles", |b| {
         let array = ArrayConfig::square(64).expect("64").with_broadcast(true);

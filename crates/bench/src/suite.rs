@@ -16,13 +16,13 @@
 //! single bench trip the gate.
 
 use crate::micro::Micro;
-use fuseconv_latency::LatencyModel;
+use fuseconv_latency::{Dataflow, LatencyModel};
 use fuseconv_models::zoo;
 use fuseconv_nn::ops::Op;
 use fuseconv_perf::replay_counted;
 use fuseconv_serve as serve;
 use fuseconv_systolic::conv1d::ChannelLines;
-use fuseconv_systolic::{conv1d, gemm, is_gemm, ws_gemm, ArrayConfig};
+use fuseconv_systolic::{conv1d, gemm, ArrayConfig};
 use fuseconv_tensor::rng::Rng;
 use fuseconv_tensor::Tensor;
 use fuseconv_trace::FoldSpec;
@@ -85,27 +85,15 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
     let a = tensor(&mut rng, &[48, 32]);
     let b = tensor(&mut rng, &[32, 40]);
 
-    let cycles = gemm::simulate(&cfg, &a, &b).expect("valid gemm").cycles();
-    h.bench_function("sim/gemm_os", |ben| {
-        ben.iter(|| gemm::simulate(&cfg, &a, &b).expect("valid gemm"))
-    });
-    out.push(record(h, cycles));
-
-    let cycles = ws_gemm::simulate(&cfg, &a, &b)
-        .expect("valid gemm")
-        .cycles();
-    h.bench_function("sim/gemm_ws", |ben| {
-        ben.iter(|| ws_gemm::simulate(&cfg, &a, &b).expect("valid gemm"))
-    });
-    out.push(record(h, cycles));
-
-    let cycles = is_gemm::simulate(&cfg, &a, &b)
-        .expect("valid gemm")
-        .cycles();
-    h.bench_function("sim/gemm_is", |ben| {
-        ben.iter(|| is_gemm::simulate(&cfg, &a, &b).expect("valid gemm"))
-    });
-    out.push(record(h, cycles));
+    for dataflow in Dataflow::ALL {
+        let cycles = gemm::simulate(&cfg, dataflow, &a, &b)
+            .expect("valid gemm")
+            .cycles();
+        h.bench_function(&format!("sim/gemm_{}", dataflow.mnemonic()), |ben| {
+            ben.iter(|| gemm::simulate(&cfg, dataflow, &a, &b).expect("valid gemm"))
+        });
+        out.push(record(h, cycles));
+    }
 
     let inputs: Vec<Vec<f32>> = (0..20)
         .map(|_| (0..26).map(|_| rng.uniform(-1.0, 1.0)).collect())

@@ -263,19 +263,10 @@ fn array_of(parsed: &ParsedArgs) -> Result<ArrayConfig, String> {
     telemetry::manifest::set_run_array(
         array.rows(),
         array.cols(),
-        dataflow_name(Dataflow::OutputStationary),
+        Dataflow::OutputStationary.mnemonic(),
         array.has_broadcast(),
     );
     Ok(array)
-}
-
-/// Short manifest name for a dataflow.
-fn dataflow_name(d: Dataflow) -> &'static str {
-    match d {
-        Dataflow::OutputStationary => "os",
-        Dataflow::WeightStationary => "ws",
-        Dataflow::InputStationary => "is",
-    }
 }
 
 fn run(parsed: &ParsedArgs) -> Result<(), String> {
@@ -784,7 +775,7 @@ fn run(parsed: &ParsedArgs) -> Result<(), String> {
             let metrics = telemetry::metrics_snapshot();
             let manifest = telemetry::RunManifest::capture()
                 .with_array(array.rows(), array.cols(), array.has_broadcast())
-                .with_dataflow(dataflow_name(model.dataflow()));
+                .with_dataflow(model.dataflow().mnemonic());
             println!(
                 "profile: {} [{variant}] on {}x{} — {} folds, {} sim cycles",
                 net.name(),

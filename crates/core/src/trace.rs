@@ -17,11 +17,11 @@
 //! `trace_cross_check` integration test pins that equality.
 
 use crate::variant::{apply_variant, Variant};
-use fuseconv_latency::{Dataflow, LatencyError, LatencyModel};
+use fuseconv_latency::{LatencyError, LatencyModel, Lowering};
 use fuseconv_models::Network;
-use fuseconv_nn::ops::{Axis1d, Op};
+use fuseconv_nn::ops::Op;
 use fuseconv_systolic::conv1d::ChannelLines;
-use fuseconv_systolic::{conv1d, gemm, is_gemm, ws_gemm, ConfigError, SimResult};
+use fuseconv_systolic::{conv1d, gemm, ConfigError, SimResult};
 use fuseconv_tensor::rng::Rng;
 use fuseconv_tensor::Tensor;
 use fuseconv_trace::{FoldSpec, TraceSink};
@@ -156,24 +156,6 @@ fn synth(rng: &mut Rng, dims: &[usize]) -> Tensor {
     Tensor::from_fn(dims, |_| rng.uniform(-0.5, 0.5)).expect("nonzero dims")
 }
 
-fn simulate_gemm(
-    model: &LatencyModel,
-    m: usize,
-    k: usize,
-    n: usize,
-    sink: &mut dyn TraceSink,
-) -> Result<SimResult, TraceError> {
-    let mut rng = Rng::seed_from_u64(0x7472_6163);
-    let a = synth(&mut rng, &[m, k]);
-    let b = synth(&mut rng, &[k, n]);
-    let sim = match model.dataflow() {
-        Dataflow::OutputStationary => gemm::simulate_traced(model.array(), &a, &b, sink),
-        Dataflow::WeightStationary => ws_gemm::simulate_traced(model.array(), &a, &b, sink),
-        Dataflow::InputStationary => is_gemm::simulate_traced(model.array(), &a, &b, sink),
-    }?;
-    Ok(sim)
-}
-
 /// Runs the cycle-exact systolic simulator for one operator on synthetic
 /// operands, narrating every cycle to `sink`.
 ///
@@ -202,28 +184,20 @@ pub fn simulate_op_traced(
     // Let the analytic model vet the operator first so both paths reject
     // exactly the same inputs.
     model.cycles(op)?;
-    let (oh, ow, _) = op.output_shape();
-    match *op {
-        Op::Conv2d { in_c, out_c, k, .. } => {
-            let sim = simulate_gemm(model, oh * ow, k * k * in_c, out_c, sink)?;
-            Ok(TracedSim { sim, repeats: 1 })
-        }
-        Op::Depthwise { c, k, .. } => {
-            let sim = simulate_gemm(model, oh * ow, k * k, 1, sink)?;
-            Ok(TracedSim {
-                sim,
-                repeats: c as u64,
-            })
-        }
-        Op::Pointwise { in_c, out_c, .. } => {
-            let sim = simulate_gemm(model, oh * ow, in_c, out_c, sink)?;
-            Ok(TracedSim { sim, repeats: 1 })
-        }
-        Op::FuSe1d { c, k, axis, .. } => {
-            let (lines, l_out) = match axis {
-                Axis1d::Row => (oh, ow),
-                Axis1d::Col => (ow, oh),
+    let (sim, repeats) = match model.with_batch(1).lower(op)? {
+        Lowering::Gemm { m, k, n, repeats } => {
+            let dim = |x: u64| {
+                usize::try_from(x)
+                    .map_err(|_| LatencyError::ArithmeticOverflow { op: op.to_string() })
             };
+            let (m, k, n) = (dim(m)?, dim(k)?, dim(n)?);
+            let mut rng = Rng::seed_from_u64(0x7472_6163);
+            let a = synth(&mut rng, &[m, k]);
+            let b = synth(&mut rng, &[k, n]);
+            let sim = gemm::simulate_traced(model.array(), model.dataflow(), &a, &b, sink)?;
+            (sim, repeats)
+        }
+        Lowering::Fuse { c, lines, l_out, k } => {
             let l_in = l_out + k - 1;
             let mut rng = Rng::seed_from_u64(0x66757365);
             let work: Vec<ChannelLines> = (0..c)
@@ -234,17 +208,13 @@ pub fn simulate_op_traced(
                         .collect(),
                 })
                 .collect();
-            let sim = conv1d::simulate_packed_traced(model.array(), &work, sink)?;
-            Ok(TracedSim { sim, repeats: 1 })
+            (
+                conv1d::simulate_packed_traced(model.array(), &work, sink)?,
+                1,
+            )
         }
-        Op::Fc {
-            in_features,
-            out_features,
-        } => {
-            let sim = simulate_gemm(model, 1, in_features, out_features, sink)?;
-            Ok(TracedSim { sim, repeats: 1 })
-        }
-    }
+    };
+    Ok(TracedSim { sim, repeats })
 }
 
 /// Applies a Table-I variant and plans the result — the common
@@ -267,6 +237,7 @@ pub fn plan_variant(
 mod tests {
     use super::*;
     use fuseconv_models::zoo;
+    use fuseconv_nn::ops::Axis1d;
     use fuseconv_systolic::ArrayConfig;
     use fuseconv_trace::{replay, NullSink, UtilizationSink};
 

@@ -12,17 +12,16 @@
 //!
 //! * [`gate`] — a cached per-configuration verdict consulted by every
 //!   [`LatencyModel`] entry point, mirroring the dataflow-legality gate in
-//!   `fuseconv_systolic::legality`: debug builds refuse to estimate with a
-//!   model whose probe plans fail the audit, release builds warn once per
-//!   configuration and continue.
+//!   `fuseconv_systolic::legality`: every build profile refuses to
+//!   estimate with a model whose probe plans fail the audit.
 //! * `fuseconv-analyze` — the `PLAN001–PLAN004` rules wrap
 //!   [`audit_plan`]'s violations as diagnostics, and the `MEM001–MEM003`
 //!   rules budget the [`fold_footprint`] working sets against SRAM.
 
-use crate::map::{c64, Dataflow, LatencyError, LatencyModel};
+use crate::map::{c64, Dataflow, LatencyError, LatencyModel, Lowering};
 use fuseconv_nn::ops::{Axis1d, Op};
 use fuseconv_systolic::conv1d;
-use fuseconv_trace::{FoldKind, FoldSpec};
+use fuseconv_trace::FoldSpec;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -183,68 +182,22 @@ fn fuse_tiles(
 /// `None` when the operator is degenerate / unsupported on this array (the
 /// planner itself errors there, so there is nothing to audit).
 fn expected_tiles(model: &LatencyModel, op: &Op) -> Option<Vec<Tile>> {
-    let (oh, ow, _) = op.output_shape();
     let (rows, cols) = (c64(model.array().rows()), c64(model.array().cols()));
-    let m = c64(oh)
-        .checked_mul(c64(ow))?
-        .checked_mul(c64(model.batch()))?;
-    match *op {
-        Op::Conv2d { in_c, out_c, k, .. } => {
-            let kdim = c64(k).checked_mul(c64(k))?.checked_mul(c64(in_c))?;
-            Some(grid_for(model.dataflow(), m, kdim, c64(out_c), rows, cols))
+    match model.lower(op).ok()? {
+        Lowering::Gemm { m, k, n, repeats } => {
+            let one = grid_for(model.dataflow(), m, k, n, rows, cols);
+            Some(one.repeat(usize::try_from(repeats).ok()?))
         }
-        Op::Depthwise { c, k, .. } => {
-            let kk = c64(k).checked_mul(c64(k))?;
-            let per_channel = grid_for(model.dataflow(), m, kk, 1, rows, cols);
-            let mut out = Vec::new();
-            for _ in 0..c {
-                out.extend_from_slice(&per_channel);
-            }
-            Some(out)
-        }
-        Op::Pointwise { in_c, out_c, .. } => Some(grid_for(
-            model.dataflow(),
-            m,
-            c64(in_c),
-            c64(out_c),
-            rows,
-            cols,
-        )),
-        Op::FuSe1d { c, k, axis, .. } => {
-            if !model.array().has_broadcast() {
-                return None;
-            }
-            let (lines, l_out) = match axis {
-                Axis1d::Row => (oh, ow),
-                Axis1d::Col => (ow, oh),
-            };
-            if c == 0 || lines == 0 || l_out == 0 || k == 0 {
-                return None;
-            }
-            Some(fuse_tiles(model, c, lines, l_out, k))
-        }
-        Op::Fc {
-            in_features,
-            out_features,
-        } => Some(grid_for(
-            model.dataflow(),
-            1,
-            c64(in_features),
-            c64(out_features),
-            rows,
-            cols,
-        )),
+        Lowering::Fuse { c, lines, l_out, k } => Some(fuse_tiles(model, c, lines, l_out, k)),
     }
 }
 
-/// Maps a GEMM's `(m, k, n)` to its fold-grid axes under a dataflow: which
-/// two dims tile onto the array, and which is the temporal reduction.
+/// Maps a GEMM's `(m, k, n)` to its fold grid under a dataflow: the
+/// dataflow's row and column dimensions tile onto the array, its time
+/// dimension streams through every fold.
 fn grid_for(dataflow: Dataflow, m: u64, k: u64, n: u64, rows: u64, cols: u64) -> Vec<Tile> {
-    match dataflow {
-        Dataflow::OutputStationary => gemm_tiles(m, rows, n, cols, k),
-        Dataflow::WeightStationary => gemm_tiles(k, rows, n, cols, m),
-        Dataflow::InputStationary => gemm_tiles(m, rows, k, cols, n),
-    }
+    let [r, c, t] = dataflow.split(m, k, n);
+    gemm_tiles(r, rows, c, cols, t)
 }
 
 /// Audits a fold plan against the expected partition of `op`'s iteration
@@ -358,45 +311,29 @@ impl FoldFootprint {
 
 /// The operand working set of one fold, recovered from the spec alone.
 ///
-/// The temporal dimension is reconstructed from the compute phase: an
-/// output-stationary fold computes for `ru + cu + k − 2` cycles, so
-/// `k = compute + 2 − ru − cu`, and symmetrically for the other dataflows.
-/// For row-broadcast folds the fill phase *is* the padded input width and
-/// the compute phase is the kernel length. These are exactly the distinct
-/// SRAM addresses the traced simulators touch per fold (the
-/// `footprint_vs_trace` integration test pins this equality).
+/// A GEMM fold's time extent is recovered from its compute phase
+/// ([`Dataflow::time_extent`]), which with the used rows and columns gives
+/// the fold's extent along each of `M`, `K` and `N`; each operand tile is
+/// the product of its two dimensions' extents. For row-broadcast folds the
+/// fill phase *is* the padded input width and the compute phase is the
+/// kernel length. These are exactly the distinct SRAM addresses the traced
+/// simulators touch per fold (the `footprint_vs_trace` integration test
+/// pins this equality).
 pub fn fold_footprint(f: &FoldSpec) -> FoldFootprint {
     let (ru, cu) = (c64u32(f.rows_used), c64u32(f.cols_used));
-    match f.kind {
-        FoldKind::OutputStationary => {
-            let k = (f.compute + 2).saturating_sub(ru + cu);
-            FoldFootprint {
-                ifmap_elems: ru.saturating_mul(k),
-                filter_elems: k.saturating_mul(cu),
-                ofmap_elems: ru.saturating_mul(cu),
-            }
-        }
-        FoldKind::WeightStationary => {
-            let m = (f.compute + 2).saturating_sub(ru + cu);
-            FoldFootprint {
-                ifmap_elems: m.saturating_mul(ru),
-                filter_elems: ru.saturating_mul(cu),
-                ofmap_elems: m.saturating_mul(cu),
-            }
-        }
-        FoldKind::InputStationary => {
-            let n = (f.compute + 2).saturating_sub(ru + cu);
-            FoldFootprint {
-                ifmap_elems: ru.saturating_mul(cu),
-                filter_elems: n.saturating_mul(cu),
-                ofmap_elems: ru.saturating_mul(n),
-            }
-        }
-        FoldKind::RowBroadcast => FoldFootprint {
+    let Some(dataflow) = f.kind.gemm_dataflow() else {
+        return FoldFootprint {
             ifmap_elems: ru.saturating_mul(f.fill),
             filter_elems: ru.saturating_mul(f.compute),
             ofmap_elems: f.macs.checked_div(f.compute).unwrap_or(0),
-        },
+        };
+    };
+    let t = dataflow.time_extent(ru, cu, f.compute);
+    let [m, k, n] = dataflow.join(ru, cu, t);
+    FoldFootprint {
+        ifmap_elems: m.saturating_mul(k),
+        filter_elems: k.saturating_mul(n),
+        ofmap_elems: m.saturating_mul(n),
     }
 }
 
@@ -463,39 +400,28 @@ static VERDICTS: OnceLock<Mutex<HashMap<Key, Result<(), LatencyError>>>> = OnceL
 /// Plan-audit gate consulted by every [`LatencyModel`] entry point.
 ///
 /// The first call per `(array, dataflow, batch)` configuration audits the
-/// probe plans and caches the verdict. Debug builds propagate a failed
-/// verdict as [`LatencyError::PlanAudit`] on every call; release builds
-/// log one warning per configuration (through the telemetry logger,
-/// counted as `latency.gate_warnings`) when the verdict is first computed
-/// and then continue (the shipped planner passes the audit — the gate
-/// exists so a planner regression cannot silently produce latency numbers
-/// from a plan that no longer partitions the iteration space).
+/// probe plans and caches the verdict; every call, in every build profile,
+/// returns it. A failed verdict is counted once per configuration, when
+/// first computed, as `latency.gate_warnings`. (The shipped planner
+/// passes the audit — the gate exists so a planner regression cannot
+/// silently produce latency numbers from a plan that no longer
+/// partitions the iteration space.)
 ///
 /// # Errors
 ///
-/// [`LatencyError::PlanAudit`] in debug builds when the audit fails.
+/// [`LatencyError::PlanAudit`] when the audit fails.
 pub fn gate(model: &LatencyModel) -> Result<(), LatencyError> {
     let _span = fuseconv_telemetry::span("latency.audit_gate");
     let cache = VERDICTS.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = cache.lock().unwrap_or_else(PoisonError::into_inner);
     let verdict = map.entry(key_of(model)).or_insert_with(|| {
         let v = verdict_for(model);
-        if let Err(e) = &v {
+        if v.is_err() {
             fuseconv_telemetry::counter("latency.gate_warnings").inc();
-            if !cfg!(debug_assertions) {
-                fuseconv_telemetry::log::warn(
-                    "latency::audit",
-                    &format!("{e} (release build: continuing)"),
-                );
-            }
         }
         v
     });
-    if cfg!(debug_assertions) {
-        verdict.clone()
-    } else {
-        Ok(())
-    }
+    verdict.clone()
 }
 
 #[cfg(test)]
@@ -514,11 +440,7 @@ mod tests {
     #[test]
     fn shipped_plans_audit_clean_everywhere() {
         for (rows, cols) in [(4usize, 6usize), (8, 8), (5, 3), (64, 64)] {
-            for dataflow in [
-                Dataflow::OutputStationary,
-                Dataflow::WeightStationary,
-                Dataflow::InputStationary,
-            ] {
+            for dataflow in Dataflow::ALL {
                 let m = model(rows, cols).with_dataflow(dataflow);
                 for op in all_ops() {
                     let plan = m.fold_plan_ungated(&op).unwrap();

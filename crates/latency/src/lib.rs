@@ -16,10 +16,13 @@
 //! | FuSe 1-D bank | row-broadcast dataflow | `#convs = C·out_lines`, `L_out`, `K` |
 //! | fully connected | GEMM | `M = 1`, `K = in`, `N = out` |
 //!
-//! The closed-form cycle counts come from
-//! [`fuseconv_systolic::gemm::analytic_cycles`] and
-//! [`fuseconv_systolic::conv1d::analytic_cycles`], which are validated
-//! against the cycle-level simulator; this crate therefore inherits exact
+//! Every fold's cycles come from the one fold table in `fuseconv-trace`
+//! ([`Dataflow::fold_phases`](fuseconv_trace::Dataflow::fold_phases) and
+//! [`FoldPhases::row_broadcast`](fuseconv_trace::FoldPhases::row_broadcast)),
+//! summed in closed form over the fold grid; the cycle-level simulators
+//! and their loop-based [`fuseconv_systolic::gemm::analytic_cycles`] /
+//! [`fuseconv_systolic::conv1d::analytic_cycles_packed`] are the
+//! references this crate is tested against, so it inherits exact
 //! agreement with simulation.
 //!
 //! # Examples
@@ -57,7 +60,7 @@ pub use ir::{
     solve, DataflowProblem, Direction, FoldNode, LiveInterval, Liveness, NodeFacts, PlanIr,
     ReachingDefs, ValueClass, ValueDef, ValueId, ValueInfo, ValueSet,
 };
-pub use map::{Dataflow, FoldOverlap, LatencyError, LatencyModel};
+pub use map::{Dataflow, FoldOverlap, LatencyError, LatencyModel, Lowering};
 pub use report::{
     block_speedups, estimate_network, BlockLatency, ClassBreakdown, NetworkLatency, OpLatency,
 };

@@ -1,7 +1,9 @@
 //! Lowering of operator descriptors to array cycle counts.
 
 use fuseconv_nn::ops::{Axis1d, Op};
-use fuseconv_systolic::ArrayConfig;
+use fuseconv_systolic::{conv1d, ArrayConfig};
+pub use fuseconv_trace::Dataflow;
+use fuseconv_trace::FoldPhases;
 use std::error::Error;
 use std::fmt;
 
@@ -28,8 +30,7 @@ pub enum LatencyError {
         op: String,
     },
     /// The cached fold-plan self-audit found an inconsistent plan for this
-    /// model configuration (debug builds only; release builds warn once
-    /// and continue). See [`crate::audit`].
+    /// model configuration, in every build profile. See [`crate::audit`].
     PlanAudit {
         /// What the audit found, pretty-printed.
         detail: String,
@@ -57,25 +58,6 @@ impl fmt::Display for LatencyError {
 }
 
 impl Error for LatencyError {}
-
-/// Which systolic dataflow executes GEMM-lowered operators.
-///
-/// The paper evaluates output-stationary only (§V-A-3); weight-stationary
-/// is provided for the ablation study. FuSeConv's broadcast dataflow is
-/// orthogonal and unaffected by this choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Dataflow {
-    /// Output-stationary: outputs accumulate in the PEs; the reduction
-    /// dimension is temporal. The paper's setting and the default.
-    #[default]
-    OutputStationary,
-    /// Weight-stationary: a weight tile is pinned in the PEs; the output
-    /// rows stream through.
-    WeightStationary,
-    /// Input-stationary: an activation tile is pinned in the PEs; the
-    /// weight columns stream through.
-    InputStationary,
-}
 
 /// How consecutive folds of one operator share the array in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -181,105 +163,62 @@ impl LatencyModel {
         self.overlap
     }
 
-    /// GEMM cycles under the configured dataflow and overlap mode.
-    ///
-    /// Closed-form over tile classes (full tiles + remainder), all in
-    /// checked `u64` arithmetic: equals the fold-by-fold loop accounting
-    /// of the cycle simulators exactly, but costs O(1) and returns `None`
-    /// instead of wrapping when the total exceeds `u64`.
-    fn gemm_cycles(&self, m: u64, k: u64, n: u64) -> Option<u64> {
-        let (rows, cols) = (c64(self.array.rows()), c64(self.array.cols()));
-        match (self.dataflow, self.overlap) {
-            // Serial folds pay the full fold_cycles of each simulator.
-            (Dataflow::OutputStationary, FoldOverlap::Serial) => {
-                sum_folds(m, rows, n, cols, |ru, cu| {
-                    // 2·ru + cu + k − 2
-                    ru.checked_mul(2)?
-                        .checked_add(cu)?
-                        .checked_add(k)?
-                        .checked_sub(2)
-                })
+    /// Checked Σ over the fold grid `extent_r × extent_c` of each fold's
+    /// `phases(ru, cu)` under the configured overlap mode — the one place
+    /// fold costs become operator cycles. Serial folds each pay their
+    /// fill, compute and drain. Double-buffered folds overlap a fold's
+    /// drain with the next fold's start, so only the last fold drains;
+    /// when `hidden_fill`, a fold's operand preload (a GEMM's stationary
+    /// tile) also hides behind the previous fold, so only the first fold
+    /// fills.
+    fn sum_folds(
+        &self,
+        extent_r: u64,
+        extent_c: u64,
+        hidden_fill: bool,
+        phases: impl Fn(u64, u64) -> Option<FoldPhases>,
+    ) -> Option<u64> {
+        let array = &self.array;
+        match self.overlap {
+            FoldOverlap::Serial => {
+                array.sum_folds(extent_r, extent_c, |ru, cu| phases(ru, cu)?.total())
             }
-            (Dataflow::WeightStationary, FoldOverlap::Serial) => {
-                sum_folds(k, rows, n, cols, |ru, cu| {
-                    // ru + (m + ru + cu − 2)
-                    ru.checked_mul(2)?
-                        .checked_add(cu)?
-                        .checked_add(m)?
-                        .checked_sub(2)
-                })
-            }
-            (Dataflow::InputStationary, FoldOverlap::Serial) => {
-                sum_folds(m, rows, k, cols, |ru, cu| {
-                    // cu + (n + ru + cu − 2)
-                    cu.checked_mul(2)?
-                        .checked_add(ru)?
-                        .checked_add(n)?
-                        .checked_sub(2)
-                })
-            }
-            (Dataflow::OutputStationary, FoldOverlap::DoubleBuffered) => {
-                // Each fold pays fill + compute (ru + cu + k − 2); drains
-                // overlap the next fold's fill, except the final one.
-                let folds = sum_folds(m, rows, n, cols, |ru, cu| {
-                    ru.checked_add(cu)?.checked_add(k)?.checked_sub(2)
+            FoldOverlap::DoubleBuffered => {
+                let [(fr, fc), (lr, lc)] = array.edge_folds(extent_r, extent_c);
+                let first_fill = if hidden_fill { phases(fr, fc)?.fill } else { 0 };
+                let folds = array.sum_folds(extent_r, extent_c, |ru, cu| {
+                    let p = phases(ru, cu)?;
+                    if hidden_fill {
+                        Some(p.compute)
+                    } else {
+                        p.fill.checked_add(p.compute)
+                    }
                 })?;
-                folds.checked_add(last_tile(m, rows))
-            }
-            (Dataflow::WeightStationary, FoldOverlap::DoubleBuffered) => {
-                // The next tile's weight preload overlaps the current
-                // fold's drain; each fold pays its streaming window only,
-                // plus the first preload.
-                let folds = sum_folds(k, rows, n, cols, |ru, cu| {
-                    m.checked_add(ru)?.checked_add(cu)?.checked_sub(2)
-                })?;
-                folds.checked_add(rows.min(k))
-            }
-            (Dataflow::InputStationary, FoldOverlap::DoubleBuffered) => {
-                // Mirror of the weight-stationary treatment: the next
-                // tile's input preload overlaps the current drain.
-                let folds = sum_folds(m, rows, k, cols, |ru, cu| {
-                    n.checked_add(ru)?.checked_add(cu)?.checked_sub(2)
-                })?;
-                folds.checked_add(cols.min(k))
+                folds
+                    .checked_add(first_fill)?
+                    .checked_add(phases(lr, lc)?.drain)
             }
         }
     }
 
-    /// Packed 1-D convolution cycles under the configured overlap mode,
-    /// in checked arithmetic (see [`LatencyModel::gemm_cycles`]).
-    fn fuse_cycles(&self, channels: u64, lines: u64, l_out: u64, k: u64) -> Option<u64> {
-        let (rows, cols) = (c64(self.array.rows()), c64(self.array.cols()));
-        let lpr = best_lpr(rows, cols, channels, lines, l_out, k);
-        let slots_per_channel = div_ceil(lines, lpr)?;
-        let n_slots = channels.checked_mul(slots_per_channel)?;
-        match self.overlap {
-            FoldOverlap::Serial => fuse_cycles_at_lpr(rows, cols, n_slots, l_out, k, lpr),
-            FoldOverlap::DoubleBuffered => {
-                // Per fold: fill + broadcast compute ((width + k − 1) + k);
-                // only the final fold drains its ru rows.
-                let mut total = 0u64;
-                for (_ru, count) in tile_classes(n_slots, rows) {
-                    if count == 0 {
-                        continue;
-                    }
-                    if lpr == 1 {
-                        for (cw, cc) in tile_classes(l_out, cols) {
-                            if cc == 0 {
-                                continue;
-                            }
-                            let fold = cw.checked_add(k.checked_mul(2)?)?.checked_sub(1)?;
-                            total = total.checked_add(fold.checked_mul(count)?.checked_mul(cc)?)?;
-                        }
-                    } else {
-                        let width = lpr.checked_mul(l_out)?;
-                        let fold = width.checked_add(k.checked_mul(2)?)?.checked_sub(1)?;
-                        total = total.checked_add(fold.checked_mul(count)?)?;
-                    }
-                }
-                total.checked_add(last_tile(n_slots, rows))
-            }
-        }
+    /// GEMM cycles under the configured dataflow and overlap mode, from
+    /// the dataflow's fold table in O(1) checked arithmetic: equals the
+    /// fold-by-fold accounting of the cycle simulator, but returns `None`
+    /// instead of wrapping when the total exceeds `u64`.
+    fn gemm_cycles(&self, m: u64, k: u64, n: u64) -> Option<u64> {
+        let [r, c, t] = self.dataflow.split(m, k, n);
+        self.sum_folds(r, c, true, |ru, cu| self.dataflow.fold_phases(ru, cu, t))
+    }
+
+    /// Packed 1-D convolution cycles under the configured overlap mode, at
+    /// the packing factor the simulator's scheduler picks, in checked
+    /// arithmetic (see [`LatencyModel::gemm_cycles`]).
+    fn fuse_cycles(&self, channels: usize, lines: usize, l_out: usize, k: usize) -> Option<u64> {
+        let lpr = conv1d::lines_per_row(&self.array, channels, lines, l_out, k);
+        let (slots, width) = conv1d::packed_grid(channels, lines, l_out, lpr)?;
+        self.sum_folds(slots, width, false, |ru, cw| {
+            FoldPhases::row_broadcast(ru, cw, c64(k))
+        })
     }
 
     /// Estimated cycles for one operator.
@@ -306,31 +245,46 @@ impl LatencyModel {
     ///
     /// [`fold_plan`]: LatencyModel::fold_plan
     pub(crate) fn cycles_ungated(&self, op: &Op) -> Result<u64, LatencyError> {
+        match self.lower(op)? {
+            Lowering::Gemm { m, k, n, repeats } => self
+                .gemm_cycles(m, k, n)
+                .and_then(|c| c.checked_mul(repeats)),
+            Lowering::Fuse { c, lines, l_out, k } => self.fuse_cycles(c, lines, l_out, k),
+        }
+        .ok_or_else(|| LatencyError::ArithmeticOverflow { op: op.to_string() })
+    }
+
+    /// Lowers `op` as the crate docs' table describes — the one lowering
+    /// behind the cycle count, the fold plan, the plan audit and the
+    /// cycle-exact per-op simulation.
+    ///
+    /// # Errors
+    ///
+    /// What [`LatencyModel::cycles`] reports, except an overflowing cycle
+    /// sum.
+    pub fn lower(&self, op: &Op) -> Result<Lowering, LatencyError> {
         let (oh, ow, _) = op.output_shape();
         let overflow = || LatencyError::ArithmeticOverflow { op: op.to_string() };
+        let pixels = || mul3(oh, ow, self.batch).ok_or_else(overflow);
+        let gemm = |m, k, n, repeats| Lowering::Gemm { m, k, n, repeats };
         match *op {
             Op::Conv2d { in_c, out_c, k, .. } => {
                 check_nonzero(op, &[oh, ow, self.batch, k, in_c, out_c])?;
-                let m = mul3(oh, ow, self.batch).ok_or_else(overflow)?;
                 let kdim = mul3(k, k, in_c).ok_or_else(overflow)?;
-                self.gemm_cycles(m, kdim, c64(out_c)).ok_or_else(overflow)
+                Ok(gemm(pixels()?, kdim, c64(out_c), 1))
             }
             Op::Depthwise { c, k, .. } => {
                 check_nonzero(op, &[oh, ow, self.batch, k, c])?;
-                let m = mul3(oh, ow, self.batch).ok_or_else(overflow)?;
                 let kk = c64(k).checked_mul(c64(k)).ok_or_else(overflow)?;
                 // One single-column GEMM per channel: no reuse across
                 // channels, one array column used (§III-B). Batching adds
                 // rows but never a second column — it cannot rescue
                 // depthwise utilization.
-                let per_channel = self.gemm_cycles(m, kk, 1).ok_or_else(overflow)?;
-                c64(c).checked_mul(per_channel).ok_or_else(overflow)
+                Ok(gemm(pixels()?, kk, 1, c64(c)))
             }
             Op::Pointwise { in_c, out_c, .. } => {
                 check_nonzero(op, &[oh, ow, self.batch, in_c, out_c])?;
-                let m = mul3(oh, ow, self.batch).ok_or_else(overflow)?;
-                self.gemm_cycles(m, c64(in_c), c64(out_c))
-                    .ok_or_else(overflow)
+                Ok(gemm(pixels()?, c64(in_c), c64(out_c), 1))
             }
             Op::FuSe1d { c, k, axis, .. } => {
                 if !self.array.has_broadcast() {
@@ -345,19 +299,45 @@ impl LatencyModel {
                     Axis1d::Col => (ow, oh),
                 };
                 check_nonzero(op, &[c, lines, l_out, k])?;
-                self.fuse_cycles(c64(c), c64(lines), c64(l_out), c64(k))
-                    .ok_or_else(overflow)
+                Ok(Lowering::Fuse { c, lines, l_out, k })
             }
             Op::Fc {
                 in_features,
                 out_features,
             } => {
                 check_nonzero(op, &[in_features, out_features])?;
-                self.gemm_cycles(1, c64(in_features), c64(out_features))
-                    .ok_or_else(overflow)
+                Ok(gemm(1, c64(in_features), c64(out_features), 1))
             }
         }
     }
+}
+
+/// How [`LatencyModel`] lowers one operator onto the array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lowering {
+    /// `repeats` identical `m×k · k×n` GEMMs (one per channel for
+    /// depthwise).
+    Gemm {
+        /// GEMM rows (output pixels × batch).
+        m: u64,
+        /// Reduction length.
+        k: u64,
+        /// GEMM columns (output channels).
+        n: u64,
+        /// How many identical GEMMs the operator runs.
+        repeats: u64,
+    },
+    /// Packed row-broadcast 1-D convolutions.
+    Fuse {
+        /// Channels, each with its own kernel.
+        c: usize,
+        /// Surviving output lines per channel.
+        lines: usize,
+        /// Outputs per line.
+        l_out: usize,
+        /// Kernel taps.
+        k: usize,
+    },
 }
 
 fn check_nonzero(op: &Op, dims: &[usize]) -> Result<(), LatencyError> {
@@ -374,127 +354,15 @@ pub(crate) fn c64(x: usize) -> u64 {
     u64::try_from(x).unwrap_or(u64::MAX)
 }
 
-/// Saturating `usize → u64 → u32` conversion for fold-occupancy fields.
-pub(crate) fn c32(x: usize) -> u32 {
-    u32::try_from(x).unwrap_or(u32::MAX)
-}
-
 fn mul3(a: usize, b: usize, c: usize) -> Option<u64> {
     c64(a).checked_mul(c64(b))?.checked_mul(c64(c))
-}
-
-fn div_ceil(a: u64, b: u64) -> Option<u64> {
-    Some(a.checked_add(b.checked_sub(1)?)? / b)
-}
-
-/// The tile classes of `total` split into `tile`-sized folds: full tiles
-/// plus an optional remainder, as `(size, count)` pairs. A class with
-/// `count == 0` must be skipped.
-fn tile_classes(total: u64, tile: u64) -> [(u64, u64); 2] {
-    let rem = total % tile;
-    [(tile, total / tile), (rem, u64::from(rem != 0))]
-}
-
-/// Size of the *last* tile when `total` is split into `tile`-sized folds —
-/// the remainder if one exists, else a full tile (clamped for
-/// `total < tile`).
-fn last_tile(total: u64, tile: u64) -> u64 {
-    let rem = total % tile;
-    if rem != 0 {
-        rem
-    } else {
-        tile.min(total)
-    }
-}
-
-/// Checked Σ over the 2-D fold grid `tiles(dim_r, rows) × tiles(dim_c,
-/// cols)` of a per-fold cycle cost — the closed form of the simulators'
-/// fold loops.
-fn sum_folds(
-    dim_r: u64,
-    rows: u64,
-    dim_c: u64,
-    cols: u64,
-    fold: impl Fn(u64, u64) -> Option<u64>,
-) -> Option<u64> {
-    let mut total = 0u64;
-    for (ru, rc) in tile_classes(dim_r, rows) {
-        if rc == 0 {
-            continue;
-        }
-        for (cu, cc) in tile_classes(dim_c, cols) {
-            if cc == 0 {
-                continue;
-            }
-            total = total.checked_add(fold(ru, cu)?.checked_mul(rc)?.checked_mul(cc)?)?;
-        }
-    }
-    Some(total)
-}
-
-/// Serial packed-conv1d cycles at a fixed packing factor, mirroring
-/// `conv1d::cycles_at_lpr` in checked arithmetic: each fold costs
-/// `(width + k − 1) + k + ru`.
-fn fuse_cycles_at_lpr(
-    rows: u64,
-    cols: u64,
-    n_slots: u64,
-    l_out: u64,
-    k: u64,
-    lpr: u64,
-) -> Option<u64> {
-    let mut total = 0u64;
-    for (ru, rc) in tile_classes(n_slots, rows) {
-        if rc == 0 {
-            continue;
-        }
-        if lpr == 1 {
-            for (cw, cc) in tile_classes(l_out, cols) {
-                if cc == 0 {
-                    continue;
-                }
-                let fold = cw
-                    .checked_add(k.checked_mul(2)?)?
-                    .checked_sub(1)?
-                    .checked_add(ru)?;
-                total = total.checked_add(fold.checked_mul(rc)?.checked_mul(cc)?)?;
-            }
-        } else {
-            let width = lpr.checked_mul(l_out)?;
-            let fold = width
-                .checked_add(k.checked_mul(2)?)?
-                .checked_sub(1)?
-                .checked_add(ru)?;
-            total = total.checked_add(fold.checked_mul(rc)?)?;
-        }
-    }
-    Some(total)
-}
-
-/// The packing factor `conv1d::lines_per_row` would choose, evaluated with
-/// the checked closed form (candidates whose cycle count overflows are
-/// never selected).
-fn best_lpr(rows: u64, cols: u64, channels: u64, lines: u64, l_out: u64, k: u64) -> u64 {
-    let max_lpr = if l_out >= cols {
-        1
-    } else {
-        (cols / l_out).clamp(1, lines)
-    };
-    (1..=max_lpr)
-        .min_by_key(|&lpr| {
-            div_ceil(lines, lpr)
-                .and_then(|spc| channels.checked_mul(spc))
-                .and_then(|n_slots| fuse_cycles_at_lpr(rows, cols, n_slots, l_out, k, lpr))
-                .unwrap_or(u64::MAX)
-        })
-        .unwrap_or(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fuseconv_nn::FuSeVariant;
-    use fuseconv_systolic::{conv1d, gemm, is_gemm, ws_gemm, ConfigError};
+    use fuseconv_systolic::{gemm, ConfigError};
     use fuseconv_tensor::Tensor;
 
     fn array64() -> ArrayConfig {
@@ -511,25 +379,14 @@ mod tests {
             for m in [1usize, 2, 7, 64, 65, 200] {
                 for k in [1usize, 3, 64, 130] {
                     for n in [1usize, 5, 64, 100] {
-                        let (mu, ku, nu) = (c64(m), c64(k), c64(n));
-                        let os = LatencyModel::new(cfg);
-                        assert_eq!(
-                            os.gemm_cycles(mu, ku, nu),
-                            Some(gemm::analytic_cycles(&cfg, m, k, n)),
-                            "OS {rows}x{cols} m={m} k={k} n={n}"
-                        );
-                        let ws = os.with_dataflow(Dataflow::WeightStationary);
-                        assert_eq!(
-                            ws.gemm_cycles(mu, ku, nu),
-                            Some(ws_gemm::analytic_cycles(&cfg, m, k, n)),
-                            "WS {rows}x{cols} m={m} k={k} n={n}"
-                        );
-                        let is = os.with_dataflow(Dataflow::InputStationary);
-                        assert_eq!(
-                            is.gemm_cycles(mu, ku, nu),
-                            Some(is_gemm::analytic_cycles(&cfg, m, k, n)),
-                            "IS {rows}x{cols} m={m} k={k} n={n}"
-                        );
+                        for dataflow in Dataflow::ALL {
+                            let model = LatencyModel::new(cfg).with_dataflow(dataflow);
+                            assert_eq!(
+                                model.gemm_cycles(c64(m), c64(k), c64(n)),
+                                Some(gemm::analytic_cycles(&cfg, dataflow, m, k, n)),
+                                "{dataflow:?} {rows}x{cols} m={m} k={k} n={n}"
+                            );
+                        }
                     }
                 }
             }
@@ -539,7 +396,7 @@ mod tests {
                         for k in [1usize, 3, 5] {
                             let model = LatencyModel::new(cfg);
                             assert_eq!(
-                                model.fuse_cycles(c64(channels), c64(lines), c64(l_out), c64(k)),
+                                model.fuse_cycles(channels, lines, l_out, k),
                                 Some(conv1d::analytic_cycles_packed(
                                     &cfg, channels, lines, l_out, k
                                 )),
@@ -576,11 +433,7 @@ mod tests {
             Err(LatencyError::ArithmeticOverflow { .. })
         ));
         // Overflow holds across every dataflow × overlap combination.
-        for dataflow in [
-            Dataflow::OutputStationary,
-            Dataflow::WeightStationary,
-            Dataflow::InputStationary,
-        ] {
+        for dataflow in Dataflow::ALL {
             for overlap in [FoldOverlap::Serial, FoldOverlap::DoubleBuffered] {
                 let m = model.with_dataflow(dataflow).with_overlap(overlap);
                 assert!(
@@ -646,7 +499,7 @@ mod tests {
         let est = model.cycles(&op).unwrap();
         let a = Tensor::full(&[12, 6], 1.0).unwrap();
         let b = Tensor::full(&[6, 9], 1.0).unwrap();
-        let sim = gemm::simulate(&cfg, &a, &b).unwrap();
+        let sim = gemm::simulate(&cfg, Dataflow::OutputStationary, &a, &b).unwrap();
         assert_eq!(est, sim.cycles());
     }
 

@@ -19,98 +19,57 @@
 //!
 //! [`FoldOverlap::Serial`]: crate::FoldOverlap::Serial
 
-use crate::map::{c32, c64, Dataflow, FoldOverlap, LatencyError, LatencyModel};
-use fuseconv_nn::ops::{Axis1d, Op};
+use crate::map::{c64, FoldOverlap, LatencyError, LatencyModel, Lowering};
+use fuseconv_nn::ops::Op;
 use fuseconv_systolic::conv1d;
-use fuseconv_trace::{FoldKind, FoldSpec};
+use fuseconv_trace::{FoldKind, FoldPhases, FoldSpec};
 
-fn check_nonzero(op: &Op, dims: &[usize]) -> Result<(), LatencyError> {
-    if dims.contains(&0) {
-        Err(LatencyError::DegenerateOp { op: op.to_string() })
-    } else {
-        Ok(())
-    }
-}
-
-/// Saturating `Σ dims − sub` in `u64`: a fold-phase length. Saturation is
-/// unreachable in practice because [`LatencyModel::fold_plan`] first
-/// proves the plan's total cycles fit `u64` via the checked accounting.
-fn phase(dims: &[usize], sub: u64) -> u64 {
-    dims.iter()
-        .map(|&d| c64(d))
-        .fold(0u64, u64::saturating_add)
-        .saturating_sub(sub)
-}
-
-/// Saturating three-way product in `u64`: a fold's MAC count.
-fn macs3(a: usize, b: usize, c: usize) -> u64 {
-    c64(a).saturating_mul(c64(b)).saturating_mul(c64(c))
+/// One fold's spec from its table phases; `None` when a phase overflowed
+/// or an occupancy does not fit `u32`.
+fn spec(
+    kind: FoldKind,
+    ru: u64,
+    cu: u64,
+    phases: Option<FoldPhases>,
+    macs: u64,
+) -> Option<FoldSpec> {
+    let p = phases?;
+    Some(FoldSpec {
+        tag: 0,
+        kind,
+        rows_used: u32::try_from(ru).ok()?,
+        cols_used: u32::try_from(cu).ok()?,
+        fill: p.fill,
+        compute: p.compute,
+        drain: p.drain,
+        macs,
+    })
 }
 
 impl LatencyModel {
-    /// Emits one fold per GEMM tile under the configured dataflow.
-    fn gemm_plan(&self, m: usize, k: usize, n: usize, out: &mut Vec<FoldSpec>) {
+    /// Emits one fold per GEMM tile under the configured dataflow: the
+    /// dataflow's rows and columns dimensions tiled onto the array, each
+    /// fold streaming the whole time dimension.
+    fn gemm_plan(&self, m: u64, k: u64, n: u64, out: &mut Vec<FoldSpec>) -> Option<()> {
         let (rows, cols) = (self.array().rows(), self.array().cols());
-        match self.dataflow() {
-            Dataflow::OutputStationary => {
-                for row0 in (0..m).step_by(rows) {
-                    let ru = rows.min(m - row0);
-                    for col0 in (0..n).step_by(cols) {
-                        let cu = cols.min(n - col0);
-                        out.push(FoldSpec {
-                            tag: 0,
-                            kind: FoldKind::OutputStationary,
-                            rows_used: c32(ru),
-                            cols_used: c32(cu),
-                            fill: 0,
-                            compute: phase(&[ru, cu, k], 2),
-                            drain: c64(ru),
-                            macs: macs3(ru, cu, k),
-                        });
-                    }
-                }
-            }
-            Dataflow::WeightStationary => {
-                for k0 in (0..k).step_by(rows) {
-                    let ru = rows.min(k - k0);
-                    for n0 in (0..n).step_by(cols) {
-                        let cu = cols.min(n - n0);
-                        out.push(FoldSpec {
-                            tag: 0,
-                            kind: FoldKind::WeightStationary,
-                            rows_used: c32(ru),
-                            cols_used: c32(cu),
-                            fill: c64(ru),
-                            compute: phase(&[m, ru, cu], 2),
-                            drain: 0,
-                            macs: macs3(ru, cu, m),
-                        });
-                    }
-                }
-            }
-            Dataflow::InputStationary => {
-                for m0 in (0..m).step_by(rows) {
-                    let ru = rows.min(m - m0);
-                    for k0 in (0..k).step_by(cols) {
-                        let cu = cols.min(k - k0);
-                        out.push(FoldSpec {
-                            tag: 0,
-                            kind: FoldKind::InputStationary,
-                            rows_used: c32(ru),
-                            cols_used: c32(cu),
-                            fill: c64(cu),
-                            compute: phase(&[n, ru, cu], 2),
-                            drain: 0,
-                            macs: macs3(ru, cu, n),
-                        });
-                    }
-                }
+        let dataflow = self.dataflow();
+        let [r_ext, c_ext, t] = dataflow.split(m, k, n);
+        for r0 in (0..r_ext).step_by(rows) {
+            let ru = c64(rows).min(r_ext - r0);
+            for c0 in (0..c_ext).step_by(cols) {
+                let cu = c64(cols).min(c_ext - c0);
+                let phases = dataflow.fold_phases(ru, cu, t);
+                let macs = ru.checked_mul(cu)?.checked_mul(t)?;
+                out.push(spec(dataflow.fold_kind(), ru, cu, phases, macs)?);
             }
         }
+        Some(())
     }
 
     /// Emits the packed row-broadcast folds (mirrors
-    /// `conv1d::analytic_cycles_packed` tile by tile).
+    /// `conv1d::analytic_cycles_packed` tile by tile): array rows hold
+    /// slots of up to `lpr` same-channel lines, each row `lpr · l_out`
+    /// positions wide.
     fn fuse_plan(
         &self,
         channels: usize,
@@ -118,7 +77,7 @@ impl LatencyModel {
         l_out: usize,
         k: usize,
         out: &mut Vec<FoldSpec>,
-    ) {
+    ) -> Option<()> {
         let (rows, cols) = (self.array().rows(), self.array().cols());
         let lpr = conv1d::lines_per_row(self.array(), channels, lines, l_out, k);
         let slots_per_channel = lines.div_ceil(lpr);
@@ -127,41 +86,28 @@ impl LatencyModel {
         let slot_lines: Vec<usize> = (0..channels)
             .flat_map(|_| (0..slots_per_channel).map(move |s| lpr.min(lines - s * lpr)))
             .collect();
-        for slot0 in (0..slot_lines.len()).step_by(rows) {
-            let chunk = &slot_lines[slot0..slot_lines.len().min(slot0 + rows)];
+        let width = lpr.checked_mul(l_out)?;
+        for chunk in slot_lines.chunks(rows) {
             let ru = chunk.len();
-            if lpr == 1 {
-                for c0 in (0..l_out).step_by(cols) {
-                    let cw = cols.min(l_out - c0);
-                    out.push(FoldSpec {
-                        tag: 0,
-                        kind: FoldKind::RowBroadcast,
-                        rows_used: c32(ru),
-                        cols_used: c32(cw),
-                        fill: phase(&[cw, k], 1),
-                        compute: c64(k),
-                        drain: c64(ru),
-                        macs: macs3(ru, cw, k),
-                    });
-                }
-            } else {
-                let nominal_width = lpr * l_out;
-                let busy: u64 = chunk
+            for c0 in (0..width).step_by(cols) {
+                let cw = cols.min(width - c0);
+                // A slot is busy on its own lines' outputs only: a
+                // remainder slot holds fewer than `lpr` lines.
+                let busy = chunk
                     .iter()
-                    .map(|&n| c64(n).saturating_mul(c64(l_out)))
-                    .fold(0u64, u64::saturating_add);
-                out.push(FoldSpec {
-                    tag: 0,
-                    kind: FoldKind::RowBroadcast,
-                    rows_used: c32(ru),
-                    cols_used: c32(nominal_width),
-                    fill: phase(&[nominal_width, k], 1),
-                    compute: c64(k),
-                    drain: c64(ru),
-                    macs: busy.saturating_mul(c64(k)),
-                });
+                    .try_fold(0u64, |acc, &n| acc.checked_add(c64(cw.min(n * l_out))))?;
+                let phases = FoldPhases::row_broadcast(c64(ru), c64(cw), c64(k));
+                let macs = busy.checked_mul(c64(k))?;
+                out.push(spec(
+                    FoldKind::RowBroadcast,
+                    c64(ru),
+                    c64(cw),
+                    phases,
+                    macs,
+                )?);
             }
         }
+        Some(())
     }
 
     /// The fold-by-fold plan behind [`LatencyModel::cycles`] for one
@@ -196,47 +142,21 @@ impl LatencyModel {
         // Plans document serial accounting; prove that total fits u64
         // before emitting a single spec, so overflow is an error here too.
         self.with_overlap(FoldOverlap::Serial).cycles_ungated(op)?;
-        let (oh, ow, _) = op.output_shape();
         let mut plan = Vec::new();
-        match *op {
-            Op::Conv2d { in_c, out_c, k, .. } => {
-                let m = oh * ow * self.batch();
-                let kdim = k * k * in_c;
-                check_nonzero(op, &[m, kdim, out_c])?;
-                self.gemm_plan(m, kdim, out_c, &mut plan);
-            }
-            Op::Depthwise { c, k, .. } => {
-                let m = oh * ow * self.batch();
-                check_nonzero(op, &[m, k * k, c])?;
-                // One single-column GEMM per channel (§III-B).
-                for _ in 0..c {
-                    self.gemm_plan(m, k * k, 1, &mut plan);
+        let planned = match self.lower(op)? {
+            Lowering::Gemm { m, k, n, repeats } => {
+                // Repeated GEMMs (depthwise channels, §III-B) fold
+                // identically: plan one and copy it.
+                let planned = self.gemm_plan(m, k, n, &mut plan);
+                let one = plan.len();
+                for _ in 1..repeats {
+                    plan.extend_from_within(..one);
                 }
+                planned
             }
-            Op::Pointwise { in_c, out_c, .. } => {
-                let m = oh * ow * self.batch();
-                check_nonzero(op, &[m, in_c, out_c])?;
-                self.gemm_plan(m, in_c, out_c, &mut plan);
-            }
-            Op::FuSe1d { c, k, axis, .. } => {
-                if !self.array().has_broadcast() {
-                    return Err(LatencyError::BroadcastRequired { op: op.to_string() });
-                }
-                let (lines, l_out) = match axis {
-                    Axis1d::Row => (oh, ow),
-                    Axis1d::Col => (ow, oh),
-                };
-                check_nonzero(op, &[c, lines, l_out, k])?;
-                self.fuse_plan(c, lines, l_out, k, &mut plan);
-            }
-            Op::Fc {
-                in_features,
-                out_features,
-            } => {
-                check_nonzero(op, &[in_features, out_features])?;
-                self.gemm_plan(1, in_features, out_features, &mut plan);
-            }
-        }
+            Lowering::Fuse { c, lines, l_out, k } => self.fuse_plan(c, lines, l_out, k, &mut plan),
+        };
+        planned.ok_or_else(|| LatencyError::ArithmeticOverflow { op: op.to_string() })?;
         Ok(plan)
     }
 }
@@ -245,6 +165,7 @@ impl LatencyModel {
 mod tests {
     use super::*;
     use crate::map::FoldOverlap;
+    use fuseconv_nn::ops::Axis1d;
     use fuseconv_systolic::ArrayConfig;
 
     fn array(rows: usize, cols: usize) -> ArrayConfig {
@@ -265,11 +186,7 @@ mod tests {
     #[test]
     fn plan_totals_match_cycles_for_all_dataflows() {
         for (rows, cols) in [(4usize, 6usize), (8, 8), (5, 3), (64, 64)] {
-            for dataflow in [
-                Dataflow::OutputStationary,
-                Dataflow::WeightStationary,
-                Dataflow::InputStationary,
-            ] {
+            for dataflow in crate::Dataflow::ALL {
                 let model = LatencyModel::new(array(rows, cols)).with_dataflow(dataflow);
                 for op in ops() {
                     let plan = model.fold_plan(&op).unwrap();

@@ -21,8 +21,7 @@
 //! cross-checked:
 //!
 //! 1. cycle-exact simulation through a [`CounterSink`]
-//!    ([`gemm_counted`], [`ws_gemm_counted`], [`is_gemm_counted`],
-//!    [`conv1d_counted`], [`conv1d_packed_counted`],
+//!    ([`gemm_counted`], [`conv1d_counted`], [`conv1d_packed_counted`],
 //!    [`simulate_op_counted`]);
 //! 2. analytic fold replay ([`replay_counted`]);
 //! 3. the latency model's fold plan in closed form ([`plan_counters`],
@@ -44,6 +43,6 @@ mod sim;
 pub use counters::{CounterSink, FoldCounters, PerfCounters};
 pub use report::{network_perf_report, OpPerf, PerfReport};
 pub use sim::{
-    conv1d_counted, conv1d_packed_counted, gemm_counted, is_gemm_counted, plan_counters,
-    replay_counted, simulate_op_counted, ws_gemm_counted,
+    conv1d_counted, conv1d_packed_counted, gemm_counted, plan_counters, replay_counted,
+    simulate_op_counted,
 };

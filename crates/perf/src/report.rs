@@ -5,7 +5,7 @@
 
 use crate::counters::PerfCounters;
 use fuseconv_latency::memory::{network_traffic, roofline, Roofline, Traffic};
-use fuseconv_latency::{estimate_network, Dataflow, LatencyError, LatencyModel};
+use fuseconv_latency::{estimate_network, LatencyError, LatencyModel};
 use fuseconv_models::Network;
 use fuseconv_telemetry::RunManifest;
 use std::fmt::Write as _;
@@ -86,11 +86,7 @@ pub fn network_perf_report(
     let roofline = roofline(model, network, &latency, bytes_per_elem, bytes_per_cycle)?;
     let manifest = RunManifest::capture()
         .with_array(rows, cols, model.array().has_broadcast())
-        .with_dataflow(match model.dataflow() {
-            Dataflow::OutputStationary => "os",
-            Dataflow::WeightStationary => "ws",
-            Dataflow::InputStationary => "is",
-        });
+        .with_dataflow(model.dataflow().mnemonic());
     Ok(PerfReport {
         network: network.name().to_string(),
         variant: variant.to_string(),

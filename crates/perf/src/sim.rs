@@ -5,10 +5,10 @@
 
 use crate::counters::{CounterSink, PerfCounters};
 use fuseconv_core::trace::{simulate_op_traced, TraceError, TracedSim};
-use fuseconv_latency::{LatencyError, LatencyModel};
+use fuseconv_latency::{Dataflow, LatencyError, LatencyModel};
 use fuseconv_nn::ops::Op;
 use fuseconv_systolic::conv1d::ChannelLines;
-use fuseconv_systolic::{conv1d, gemm, is_gemm, ws_gemm, ArrayConfig, ConfigError, SimResult};
+use fuseconv_systolic::{conv1d, gemm, ArrayConfig, ConfigError, SimResult};
 use fuseconv_tensor::Tensor;
 use fuseconv_trace::FoldSpec;
 
@@ -33,50 +33,19 @@ fn audited(sink: CounterSink, sim: &SimResult) -> PerfCounters {
     counters
 }
 
-/// Output-stationary GEMM with performance counters.
+/// GEMM under `dataflow` with performance counters.
 ///
 /// # Errors
 ///
 /// Same as [`gemm::simulate`].
 pub fn gemm_counted(
     cfg: &ArrayConfig,
+    dataflow: Dataflow,
     a: &Tensor,
     b: &Tensor,
 ) -> Result<(SimResult, PerfCounters), ConfigError> {
     let mut sink = CounterSink::new(cfg.rows(), cfg.cols());
-    let sim = gemm::simulate_traced(cfg, a, b, &mut sink)?;
-    let counters = audited(sink, &sim);
-    Ok((sim, counters))
-}
-
-/// Weight-stationary GEMM with performance counters.
-///
-/// # Errors
-///
-/// Same as [`ws_gemm::simulate`].
-pub fn ws_gemm_counted(
-    cfg: &ArrayConfig,
-    a: &Tensor,
-    b: &Tensor,
-) -> Result<(SimResult, PerfCounters), ConfigError> {
-    let mut sink = CounterSink::new(cfg.rows(), cfg.cols());
-    let sim = ws_gemm::simulate_traced(cfg, a, b, &mut sink)?;
-    let counters = audited(sink, &sim);
-    Ok((sim, counters))
-}
-
-/// Input-stationary GEMM with performance counters.
-///
-/// # Errors
-///
-/// Same as [`is_gemm::simulate`].
-pub fn is_gemm_counted(
-    cfg: &ArrayConfig,
-    a: &Tensor,
-    b: &Tensor,
-) -> Result<(SimResult, PerfCounters), ConfigError> {
-    let mut sink = CounterSink::new(cfg.rows(), cfg.cols());
-    let sim = is_gemm::simulate_traced(cfg, a, b, &mut sink)?;
+    let sim = gemm::simulate_traced(cfg, dataflow, a, b, &mut sink)?;
     let counters = audited(sink, &sim);
     Ok((sim, counters))
 }
@@ -190,12 +159,9 @@ mod tests {
         let a = tensor(&mut rng, &[10, 7]);
         let b = tensor(&mut rng, &[7, 12]);
         let cfg = cfg(8);
-        for (name, result) in [
-            ("os", gemm_counted(&cfg, &a, &b)),
-            ("ws", ws_gemm_counted(&cfg, &a, &b)),
-            ("is", is_gemm_counted(&cfg, &a, &b)),
-        ] {
-            let (sim, counters) = result.unwrap();
+        for dataflow in Dataflow::ALL {
+            let name = dataflow.mnemonic();
+            let (sim, counters) = gemm_counted(&cfg, dataflow, &a, &b).unwrap();
             counters
                 .verify_total(sim.cycles())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));

@@ -72,16 +72,12 @@ impl ArraySpec {
         let entry = entry.trim();
         let (dims, dataflow) = match entry.split_once(':') {
             Some((dims, df)) => {
-                let dataflow = match df {
-                    "os" => Dataflow::OutputStationary,
-                    "ws" => Dataflow::WeightStationary,
-                    "is" => Dataflow::InputStationary,
-                    other => {
-                        return Err(ServeError::Spec(format!(
-                            "unknown dataflow `{other}` in `{entry}` (expected os|ws|is)"
-                        )))
-                    }
-                };
+                let dataflow = Dataflow::from_mnemonic(df).ok_or_else(|| {
+                    let known = Dataflow::ALL.map(Dataflow::mnemonic).join("|");
+                    ServeError::Spec(format!(
+                        "unknown dataflow `{df}` in `{entry}` (expected {known})"
+                    ))
+                })?;
                 (dims, dataflow)
             }
             None => (entry, Dataflow::OutputStationary),
@@ -115,11 +111,7 @@ impl ArraySpec {
 
     /// The dataflow as its CLI short name (`os` / `ws` / `is`).
     pub fn dataflow_name(&self) -> &'static str {
-        match self.dataflow {
-            Dataflow::OutputStationary => "os",
-            Dataflow::WeightStationary => "ws",
-            Dataflow::InputStationary => "is",
-        }
+        self.dataflow.mnemonic()
     }
 
     /// Pipeline-refill penalty a preemption charges the victim on this

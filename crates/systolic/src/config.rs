@@ -77,6 +77,62 @@ impl ArrayConfig {
     pub fn has_broadcast(&self) -> bool {
         self.broadcast
     }
+
+    /// Checked Σ of `cost(ru, cu)` over the folds that tile an
+    /// `extent_r × extent_c` grid onto the array's rows and columns — the
+    /// closed form of the simulators' fold loops. Full tiles and the
+    /// remainder tile are summed as classes, so the cost is O(1) in the
+    /// fold count; `None` when `cost` or the sum overflows `u64`.
+    pub fn sum_folds(
+        &self,
+        extent_r: u64,
+        extent_c: u64,
+        cost: impl Fn(u64, u64) -> Option<u64>,
+    ) -> Option<u64> {
+        let mut total = 0u64;
+        for (ru, rc) in tile_classes(extent_r, c64(self.rows)) {
+            for (cu, cc) in tile_classes(extent_c, c64(self.cols)) {
+                if rc != 0 && cc != 0 {
+                    total = total.checked_add(cost(ru, cu)?.checked_mul(rc)?.checked_mul(cc)?)?;
+                }
+            }
+        }
+        Some(total)
+    }
+
+    /// Occupancy `(ru, cu)` of the first and of the last fold that
+    /// [`ArrayConfig::sum_folds`] sums over.
+    #[inline]
+    pub fn edge_folds(&self, extent_r: u64, extent_c: u64) -> [(u64, u64); 2] {
+        let (rows, cols) = (c64(self.rows), c64(self.cols));
+        [
+            (rows.min(extent_r), cols.min(extent_c)),
+            (last_tile(extent_r, rows), last_tile(extent_c, cols)),
+        ]
+    }
+}
+
+/// Lossless `usize → u64` (saturating on exotic >64-bit targets).
+#[inline]
+pub(crate) fn c64(x: usize) -> u64 {
+    u64::try_from(x).unwrap_or(u64::MAX)
+}
+
+/// `total` split into `tile`-sized folds as `(size, count)` classes: the
+/// full tiles and the remainder.
+#[inline]
+fn tile_classes(total: u64, tile: u64) -> [(u64, u64); 2] {
+    let rem = total % tile;
+    [(tile, total / tile), (rem, u64::from(rem != 0))]
+}
+
+/// Size of the last of `total`'s `tile`-sized folds.
+#[inline]
+fn last_tile(total: u64, tile: u64) -> u64 {
+    match total % tile {
+        0 => tile.min(total),
+        rem => rem,
+    }
 }
 
 impl fmt::Display for ArrayConfig {
@@ -147,6 +203,18 @@ impl Error for ConfigError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fold_grid_sums_by_tile_class() {
+        let cfg = ArrayConfig::new(3, 4).unwrap();
+        // 7 rows → 3, 3, 1; 9 cols → 4, 4, 1: Σ ru·cu covers the grid.
+        assert_eq!(cfg.sum_folds(7, 9, |r, c| Some(r * c)), Some(63));
+        assert_eq!(cfg.sum_folds(7, 9, |_, _| Some(1)), Some(9));
+        assert_eq!(cfg.edge_folds(7, 9), [(3, 4), (1, 1)]);
+        assert_eq!(cfg.edge_folds(6, 2), [(3, 2), (3, 2)]);
+        assert_eq!(cfg.sum_folds(7, 9, |_, _| Some(u64::MAX)), None);
+        assert_eq!(cfg.sum_folds(7, 9, |_, _| None), None);
+    }
 
     #[test]
     fn zero_dimensions_rejected() {

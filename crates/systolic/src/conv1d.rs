@@ -20,19 +20,22 @@
 //! Folds tile the batch (`⌈#convs/rows⌉`) and each convolution's output
 //! positions (`⌈L_out/cols⌉`).
 
+use crate::config::c64;
 use crate::{ArrayConfig, ConfigError, SimResult};
 use fuseconv_tensor::Tensor;
-use fuseconv_trace::{FoldKind, NullSink, Operand, Phase, TraceEvent, TraceSink};
+use fuseconv_trace::{FoldKind, FoldPhases, NullSink, Operand, Phase, TraceEvent, TraceSink};
 
 /// Exact cycles of one broadcast-dataflow fold using `ru` rows, `cu`
-/// output columns and kernel length `k`.
+/// output columns and kernel length `k`
+/// ([`FoldPhases::row_broadcast`]).
 ///
 /// # Panics
 ///
 /// Panics if any argument is zero.
 pub fn fold_cycles(ru: usize, cu: usize, k: usize) -> u64 {
-    assert!(ru > 0 && cu > 0 && k > 0, "fold dimensions must be nonzero");
-    ((cu + k - 1) + k + ru) as u64
+    FoldPhases::row_broadcast(ru as u64, cu as u64, k as u64)
+        .and_then(FoldPhases::total)
+        .expect("fold dimensions must be nonzero")
 }
 
 /// Golden model: direct stride-1 1-D convolution (cross-correlation).
@@ -242,21 +245,14 @@ pub fn simulate_traced(
 ///
 /// # Panics
 ///
-/// Panics if any argument is zero.
+/// Panics if any argument is zero or the count overflows `u64`.
 pub fn analytic_cycles(cfg: &ArrayConfig, n_convs: usize, l_out: usize, k: usize) -> u64 {
     assert!(
         n_convs > 0 && l_out > 0 && k > 0,
         "batch dimensions must be nonzero"
     );
-    let mut total = 0u64;
-    for conv0 in (0..n_convs).step_by(cfg.rows()) {
-        let ru = cfg.rows().min(n_convs - conv0);
-        for col0 in (0..l_out).step_by(cfg.cols()) {
-            let cu = cfg.cols().min(l_out - col0);
-            total += fold_cycles(ru, cu, k);
-        }
-    }
-    total
+    // One line per convolution, one line per array row.
+    cycles_at_lpr(cfg, n_convs, 1, l_out, k, 1).expect("cycle count overflows u64")
 }
 
 /// All 1-D convolution work belonging to one channel: a single kernel
@@ -275,7 +271,20 @@ pub struct ChannelLines {
     pub lines: Vec<Vec<f32>>,
 }
 
-/// Cycles of the packed mapping at a *fixed* packing factor `lpr`.
+/// The fold grid of the packed mapping at packing factor `lpr`: one
+/// array row per slot of up to `lpr` same-channel lines (`channels ·
+/// ⌈lines/lpr⌉` slots) by `lpr · l_out` output positions per row. A
+/// packed row (`lpr > 1`) never exceeds the array width, so it is one
+/// fold column; unpacked lines tile over the columns. Load time is charged
+/// for the nominal row width even in a remainder slot — the input ports
+/// run for the full schedule. `None` on `u64` overflow.
+pub fn packed_grid(channels: usize, lines: usize, l_out: usize, lpr: usize) -> Option<(u64, u64)> {
+    let slots = c64(channels).checked_mul(c64(lines.div_ceil(lpr)))?;
+    Some((slots, c64(lpr).checked_mul(c64(l_out))?))
+}
+
+/// Cycles of the packed mapping at a *fixed* packing factor `lpr`, in
+/// checked arithmetic: `None` when the count overflows `u64`.
 fn cycles_at_lpr(
     cfg: &ArrayConfig,
     channels: usize,
@@ -283,30 +292,19 @@ fn cycles_at_lpr(
     l_out: usize,
     k: usize,
     lpr: usize,
-) -> u64 {
-    let slots_per_channel = lines.div_ceil(lpr);
-    let n_slots = channels * slots_per_channel;
-    let mut total = 0u64;
-    for slot0 in (0..n_slots).step_by(cfg.rows()) {
-        let ru = cfg.rows().min(n_slots - slot0);
-        if lpr == 1 {
-            for c0 in (0..l_out).step_by(cfg.cols()) {
-                let cw = cfg.cols().min(l_out - c0);
-                total += ((cw + k - 1) + k + ru) as u64;
-            }
-        } else {
-            let max_width = lpr * l_out;
-            total += ((max_width + k - 1) + k + ru) as u64;
-        }
-    }
-    total
+) -> Option<u64> {
+    let (slots, width) = packed_grid(channels, lines, l_out, lpr)?;
+    cfg.sum_folds(slots, width, |ru, cw| {
+        FoldPhases::row_broadcast(ru, cw, c64(k))?.total()
+    })
 }
 
 /// The packing factor the scheduler uses: the number of same-channel lines
 /// sharing one array row, chosen to *minimize total cycles*. Packing trades
 /// row-parallelism for serial load width, so the optimum is workload-
 /// dependent: deep batches of short lines pack hard, shallow batches often
-/// stay at 1.
+/// stay at 1. Candidates whose cycle count overflows `u64` are never
+/// chosen.
 pub fn lines_per_row(
     cfg: &ArrayConfig,
     channels: usize,
@@ -320,7 +318,7 @@ pub fn lines_per_row(
         (cfg.cols() / l_out).clamp(1, lines)
     };
     (1..=max_lpr)
-        .min_by_key(|&lpr| cycles_at_lpr(cfg, channels, lines, l_out, k, lpr))
+        .min_by_key(|&lpr| cycles_at_lpr(cfg, channels, lines, l_out, k, lpr).unwrap_or(u64::MAX))
         .unwrap_or(1)
 }
 
@@ -553,7 +551,7 @@ pub fn simulate_packed_traced(
 ///
 /// # Panics
 ///
-/// Panics if any argument is zero.
+/// Panics if any argument is zero or the count overflows `u64`.
 pub fn analytic_cycles_packed(
     cfg: &ArrayConfig,
     channels: usize,
@@ -566,12 +564,13 @@ pub fn analytic_cycles_packed(
         "packed dimensions must be nonzero"
     );
     let lpr = lines_per_row(cfg, channels, lines, l_out, k);
-    cycles_at_lpr(cfg, channels, lines, l_out, k, lpr)
+    cycles_at_lpr(cfg, channels, lines, l_out, k, lpr).expect("packed cycle count overflows u64")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuseconv_trace::Dataflow;
 
     fn bcast(rows: usize, cols: usize) -> ArrayConfig {
         ArrayConfig::new(rows, cols).unwrap().with_broadcast(true)
@@ -663,7 +662,9 @@ mod tests {
         // The single-column GEMM alternative: each channel is a 16x9 · 9x1
         // GEMM (M = 16 outputs, K = 9 taps of a hypothetical 3x3 kernel with
         // the same MAC count), split into two row folds of 8.
-        let im2col_cycles: u64 = (0..16).map(|_| crate::gemm::fold_cycles(8, 1, 9) * 2).sum();
+        let im2col_cycles: u64 = (0..16)
+            .map(|_| crate::gemm::fold_cycles(Dataflow::OutputStationary, 8, 1, 9) * 2)
+            .sum();
         assert!(
             fuse.cycles() < im2col_cycles,
             "broadcast {} should beat im2col {}",
@@ -795,7 +796,7 @@ mod packed_tests {
             (bcast(16, 16), 2, 9, 3, 5),
         ] {
             let chosen = analytic_cycles_packed(&cfg, ch, lines, l_out, k);
-            let unpacked = cycles_at_lpr(&cfg, ch, lines, l_out, k, 1);
+            let unpacked = cycles_at_lpr(&cfg, ch, lines, l_out, k, 1).unwrap();
             assert!(chosen <= unpacked, "{ch} {lines} {l_out} {k}");
         }
     }

@@ -18,15 +18,15 @@
 //!    served by the paper's per-row weight-broadcast link (§IV-C-1), in
 //!    which case the array must physically have that link.
 //!
-//! Every `simulate`/`simulate_traced` entry point calls the [`gate`]:
-//! in debug builds an illegal mapping is a hard
-//! [`ConfigError::IllegalMapping`]; release builds warn once on stderr
-//! and proceed (the shipped mappings are all legal — the gate exists to
-//! catch future dataflow changes, and its result is cached per dataflow).
+//! Every `simulate`/`simulate_traced` entry point calls the [`gate`]: an
+//! illegal mapping is a [`ConfigError::IllegalMapping`] in every build
+//! profile (the shipped mappings are all legal — the gate exists to catch
+//! future dataflow changes, and its verdict is cached per dataflow).
 
 use crate::{ArrayConfig, ConfigError};
 use fuseconv_ria::schedule::find_schedule;
 use fuseconv_ria::{RecurrenceSystem, RiaViolation, Schedule};
+use fuseconv_trace::Dataflow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -36,9 +36,9 @@ use std::sync::OnceLock;
 pub enum DataflowKind {
     /// Output-stationary GEMM ([`crate::gemm`]).
     OutputStationary,
-    /// Weight-stationary GEMM ([`crate::ws_gemm`]).
+    /// Weight-stationary GEMM ([`crate::gemm`]).
     WeightStationary,
-    /// Input-stationary GEMM ([`crate::is_gemm`]).
+    /// Input-stationary GEMM ([`crate::gemm`]).
     InputStationary,
     /// The FuSeConv row-broadcast 1-D convolution dataflow
     /// ([`crate::conv1d`]).
@@ -53,6 +53,12 @@ impl DataflowKind {
         DataflowKind::InputStationary,
         DataflowKind::RowBroadcast,
     ];
+
+    /// The legality kind of a GEMM dataflow: the GEMM kinds lead
+    /// [`DataflowKind::ALL`] in [`Dataflow::ALL`] order.
+    pub fn gemm(dataflow: Dataflow) -> DataflowKind {
+        DataflowKind::ALL[dataflow as usize]
+    }
 
     /// Short human-readable name.
     pub fn name(&self) -> &'static str {
@@ -360,8 +366,9 @@ static GATE_CACHE: [[OnceLock<Result<(), ConfigError>>; 2]; 4] = [
 
 /// One warn-once flag per *mapping* (not per call site and not per
 /// `(mapping, broadcast)` cache cell): however many entry points gate the
-/// same illegal mapping, and on however many array flavours, the release
-/// warning is printed exactly once per process.
+/// same illegal mapping, and on however many array flavours, a failed
+/// verdict is counted in `legality.gate_warnings` exactly once per
+/// process.
 static GATE_WARNED: [AtomicBool; 4] = [
     AtomicBool::new(false),
     AtomicBool::new(false),
@@ -370,8 +377,7 @@ static GATE_WARNED: [AtomicBool; 4] = [
 ];
 
 /// How many distinct mappings have claimed their warn-once flag — the
-/// observable the exactly-once regression test pins (flags are claimed in
-/// both build profiles; only the printing is release-only).
+/// observable the exactly-once regression test pins.
 static GATE_WARN_CLAIMS: AtomicUsize = AtomicUsize::new(0);
 
 #[cfg(test)]
@@ -381,16 +387,15 @@ fn gate_warn_claims() -> usize {
 
 /// The legality gate every `simulate`/`simulate_traced` entry point runs
 /// before touching operands: verifies the canonical mapping of `kind` on
-/// `cfg`. Debug builds hard-error on an illegal mapping; release builds
-/// warn once per mapping through the telemetry logger and proceed.
-/// Cache hits/misses and claimed warnings are counted in the metrics
-/// registry (`legality.cache_hits` / `legality.cache_misses` /
+/// `cfg` and returns the cached verdict, the same in every build profile.
+/// Cache hits/misses and failed verdicts (once per mapping) are counted in
+/// the metrics registry (`legality.cache_hits` / `legality.cache_misses` /
 /// `legality.gate_warnings`).
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError::IllegalMapping`] in debug builds when the
-/// mapping fails verification.
+/// Returns [`ConfigError::IllegalMapping`] when the mapping fails
+/// verification.
 pub fn gate(kind: DataflowKind, cfg: &ArrayConfig) -> Result<(), ConfigError> {
     let row = match kind {
         DataflowKind::OutputStationary => 0,
@@ -406,28 +411,17 @@ pub fn gate(kind: DataflowKind, cfg: &ArrayConfig) -> Result<(), ConfigError> {
         fuseconv_telemetry::counter("legality.cache_misses").inc();
     }
     let cached = cell.get_or_init(|| gate_mapping(&canonical_mapping(kind), cfg));
-    if let Err(e) = cached {
-        // compare_exchange claims the mapping's flag exactly once across
-        // every call site and cache cell.
-        if GATE_WARNED[row]
+    // compare_exchange claims the mapping's flag exactly once across every
+    // call site and cache cell.
+    if cached.is_err()
+        && GATE_WARNED[row]
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
-        {
-            GATE_WARN_CLAIMS.fetch_add(1, Ordering::SeqCst);
-            fuseconv_telemetry::counter("legality.gate_warnings").inc();
-            if !cfg!(debug_assertions) {
-                fuseconv_telemetry::log::warn(
-                    "systolic::legality",
-                    &format!("{e} (release build: continuing)"),
-                );
-            }
-        }
+    {
+        GATE_WARN_CLAIMS.fetch_add(1, Ordering::SeqCst);
+        fuseconv_telemetry::counter("legality.gate_warnings").inc();
     }
-    if cfg!(debug_assertions) {
-        cached.clone()
-    } else {
-        Ok(())
-    }
+    cached.clone()
 }
 
 #[cfg(test)]
@@ -548,6 +542,14 @@ mod tests {
     }
 
     #[test]
+    fn gemm_kinds_follow_the_dataflow_table() {
+        for dataflow in Dataflow::ALL {
+            let kind = DataflowKind::gemm(dataflow);
+            assert_eq!(format!("{kind:?}"), format!("{dataflow:?}"));
+        }
+    }
+
+    #[test]
     fn gate_accepts_all_shipped_dataflows() {
         for kind in DataflowKind::ALL {
             assert!(gate(kind, &bcast(4)).is_ok(), "{kind}");
@@ -558,18 +560,14 @@ mod tests {
     fn gate_warns_exactly_once_across_repeated_calls() {
         // Row-broadcast on a plain array is the one canonically illegal
         // mapping; the simulate entry points short-circuit on
-        // BroadcastUnavailable before gating, so drive the gate directly,
-        // as every call site would in release builds. However many times
-        // (and on however many array shapes) the illegal mapping is gated,
-        // the shared per-mapping once-flag is claimed exactly once.
+        // BroadcastUnavailable before gating, so drive the gate directly.
+        // Every call, in every build profile, refuses the mapping; however
+        // many times (and on however many array shapes) it is gated, the
+        // shared per-mapping once-flag is claimed exactly once.
         let before = gate_warn_claims();
         for _ in 0..3 {
             let verdict = gate(DataflowKind::RowBroadcast, &plain(4));
-            if cfg!(debug_assertions) {
-                assert!(matches!(verdict, Err(ConfigError::IllegalMapping { .. })));
-            } else {
-                assert!(verdict.is_ok());
-            }
+            assert!(matches!(verdict, Err(ConfigError::IllegalMapping { .. })));
         }
         // Further calls — even from other call sites — share the flag.
         let _ = gate(DataflowKind::RowBroadcast, &plain(8));

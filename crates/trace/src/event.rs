@@ -6,6 +6,7 @@
 //! `tag` instead; sinks that want human-readable labels register a
 //! `tag → label` mapping out of band.
 
+use crate::dataflow::Dataflow;
 use std::fmt;
 
 /// Which logical SRAM stream an access belongs to, following SCALE-Sim's
@@ -69,14 +70,16 @@ pub enum FoldKind {
 }
 
 impl FoldKind {
-    /// Short lowercase mnemonic used in CSV/JSON output.
+    /// The GEMM dataflow executing folds of this kind; `None` for
+    /// row-broadcast folds.
+    pub fn gemm_dataflow(self) -> Option<Dataflow> {
+        Dataflow::ALL.into_iter().find(|d| d.fold_kind() == self)
+    }
+
+    /// Short lowercase mnemonic used in CSV/JSON output: the GEMM
+    /// dataflow's [`Dataflow::mnemonic`], or `bcast`.
     pub fn mnemonic(&self) -> &'static str {
-        match self {
-            FoldKind::OutputStationary => "os",
-            FoldKind::WeightStationary => "ws",
-            FoldKind::InputStationary => "is",
-            FoldKind::RowBroadcast => "bcast",
-        }
+        self.gemm_dataflow().map_or("bcast", Dataflow::mnemonic)
     }
 }
 

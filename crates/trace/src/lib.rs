@@ -19,6 +19,10 @@
 //! generated when a sink asks for them via [`TraceSink::wants_pe_fires`] /
 //! [`TraceSink::wants_operand_events`].
 //!
+//! [`Dataflow`] and [`FoldPhases`] hold the one fold geometry/cost table:
+//! which GEMM dimension each dataflow places on array rows, columns and
+//! time, and every fold kind's fill/compute/drain split.
+//!
 //! For workloads too large to simulate cycle by cycle, [`FoldSpec`] and
 //! [`replay`] regenerate the same event stream from the analytic latency
 //! model's per-fold plan, so whole-network traces reuse the sink code
@@ -33,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod chrome;
+mod dataflow;
 mod event;
 mod replay;
 mod scalesim;
@@ -40,6 +45,7 @@ mod util;
 mod utilization;
 
 pub use chrome::ChromeTraceSink;
+pub use dataflow::{Dataflow, FoldPhases, GemmDim};
 pub use event::{FoldKind, NullSink, Operand, Phase, TraceEvent, TraceSink, VecSink};
 pub use replay::{replay, tag_plan, FoldSpec};
 pub use scalesim::{ScaleSimSink, FILTER_BASE, IFMAP_BASE, OFMAP_BASE};

@@ -7,6 +7,7 @@
 //! cargo run --example utilization
 //! ```
 
+use fuseconv::latency::Dataflow;
 use fuseconv::systolic::{conv1d, gemm, ArrayConfig};
 use fuseconv::tensor::Tensor;
 
@@ -35,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..16 {
         let patches = Tensor::full(&[16, 9], 1.0)?;
         let kernel = Tensor::full(&[9, 1], 0.5)?;
-        let r = gemm::simulate(&array, &patches, &kernel)?;
+        let r = gemm::simulate(&array, Dataflow::OutputStationary, &patches, &kernel)?;
         im2col_total = Some(match im2col_total.take() {
             None => r,
             Some(acc) => acc.then(r),

@@ -2,6 +2,7 @@
 //! must compute exactly what the reference layer library computes, for
 //! every mapping the latency model uses.
 
+use fuseconv::latency::Dataflow;
 use fuseconv::nn::conv::{conv2d, depthwise2d, pointwise, Conv2dSpec};
 use fuseconv::nn::{FuSeConv, FuSeVariant};
 use fuseconv::systolic::{conv1d, gemm, ArrayConfig};
@@ -42,7 +43,7 @@ fn standard_conv_on_array_matches_functional() {
     })
     .unwrap();
     let array = ArrayConfig::new(5, 6).unwrap();
-    let sim = gemm::simulate(&array, &patches, &filt).unwrap();
+    let sim = gemm::simulate(&array, Dataflow::OutputStationary, &patches, &filt).unwrap();
 
     // sim output is [oh*ow, c_out]; functional is [c_out, oh, ow].
     let (oh, ow) = (geom.out_h(), geom.out_w());
@@ -78,7 +79,7 @@ fn depthwise_on_array_matches_functional() {
             weight.get(&[ch, ix[0] / k, ix[0] % k]).unwrap()
         })
         .unwrap();
-        let sim = gemm::simulate(&array, &patches, &kcol).unwrap();
+        let sim = gemm::simulate(&array, Dataflow::OutputStationary, &patches, &kcol).unwrap();
         for y in 0..oh {
             for x in 0..ow {
                 let a = sim.output().get(&[y * ow + x, 0]).unwrap();
@@ -151,7 +152,7 @@ fn pointwise_on_array_matches_functional() {
     .unwrap();
     let filt = Tensor::from_fn(&[c_in, c_out], |ix| weight.get(&[ix[1], ix[0]]).unwrap()).unwrap();
     let array = ArrayConfig::new(6, 2).unwrap();
-    let sim = gemm::simulate(&array, &pixels, &filt).unwrap();
+    let sim = gemm::simulate(&array, Dataflow::OutputStationary, &pixels, &filt).unwrap();
     for o in 0..c_out {
         for p in 0..h * w {
             let a = sim.output().get(&[p, o]).unwrap();

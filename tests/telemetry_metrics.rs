@@ -6,9 +6,8 @@
 //! are asserted so the test is robust to other code in this binary
 //! having already driven the process-wide registry.
 
-use fuseconv::perf::{
-    conv1d_counted, conv1d_packed_counted, gemm_counted, is_gemm_counted, ws_gemm_counted,
-};
+use fuseconv::latency::Dataflow;
+use fuseconv::perf::{conv1d_counted, conv1d_packed_counted, gemm_counted};
 use fuseconv::systolic::conv1d::ChannelLines;
 use fuseconv::systolic::ArrayConfig;
 use fuseconv::telemetry::counter;
@@ -42,9 +41,9 @@ fn sim_counters_equal_sum_of_returned_sim_results() {
         folds += sim.folds();
         runs += 1;
     };
-    tally(&gemm_counted(&cfg, &a, &b).expect("os gemm").0);
-    tally(&ws_gemm_counted(&cfg, &a, &b).expect("ws gemm").0);
-    tally(&is_gemm_counted(&cfg, &a, &b).expect("is gemm").0);
+    for dataflow in Dataflow::ALL {
+        tally(&gemm_counted(&cfg, dataflow, &a, &b).expect("gemm").0);
+    }
     tally(&conv1d_counted(&cfg, &lines, &kernels).expect("conv1d").0);
     tally(
         &conv1d_packed_counted(&cfg, &packed)

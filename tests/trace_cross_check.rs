@@ -13,10 +13,10 @@
 use fuseconv::latency::{Dataflow, LatencyModel};
 use fuseconv::nn::ops::{Axis1d, Op};
 use fuseconv::systolic::conv1d::ChannelLines;
-use fuseconv::systolic::{conv1d, gemm, is_gemm, ws_gemm, ArrayConfig, SimResult};
+use fuseconv::systolic::{conv1d, gemm, ArrayConfig};
 use fuseconv::tensor::rng::Rng;
 use fuseconv::tensor::Tensor;
-use fuseconv::trace::{replay, FoldSpec, TraceSink, UtilizationSink, VecSink};
+use fuseconv::trace::{replay, FoldSpec, UtilizationSink, VecSink};
 
 const ARRAYS: [(usize, usize); 4] = [(4, 4), (3, 5), (8, 2), (6, 6)];
 const GEMMS: [(usize, usize, usize); 5] =
@@ -30,28 +30,16 @@ fn tensors(m: usize, k: usize, n: usize) -> (Tensor, Tensor) {
     )
 }
 
-type TracedGemm = fn(
-    &ArrayConfig,
-    &Tensor,
-    &Tensor,
-    &mut dyn TraceSink,
-) -> Result<SimResult, fuseconv::systolic::ConfigError>;
-
 #[test]
 fn traced_gemm_cycles_match_simulator_and_model() {
-    let cases: [(Dataflow, TracedGemm); 3] = [
-        (Dataflow::OutputStationary, gemm::simulate_traced),
-        (Dataflow::WeightStationary, ws_gemm::simulate_traced),
-        (Dataflow::InputStationary, is_gemm::simulate_traced),
-    ];
     for (rows, cols) in ARRAYS {
         let cfg = ArrayConfig::new(rows, cols).unwrap();
-        for (dataflow, sim_fn) in cases {
+        for dataflow in Dataflow::ALL {
             let model = LatencyModel::new(cfg).with_dataflow(dataflow);
             for (m, k, n) in GEMMS {
                 let (a, b) = tensors(m, k, n);
                 let mut sink = UtilizationSink::new(rows, cols);
-                let sim = sim_fn(&cfg, &a, &b, &mut sink).unwrap();
+                let sim = gemm::simulate_traced(&cfg, dataflow, &a, &b, &mut sink).unwrap();
                 let ctx = format!("{rows}x{cols} {dataflow:?} {m}x{k}x{n}");
                 // Simulator vs trace: identical cycle and busy accounting.
                 assert_eq!(sink.cycles(), sim.cycles(), "{ctx}");
@@ -145,7 +133,7 @@ fn traced_event_stream_is_internally_consistent() {
     let cfg = ArrayConfig::new(3, 5).unwrap();
     let (a, b) = tensors(9, 13, 4);
     let mut sink = VecSink::default();
-    let sim = gemm::simulate_traced(&cfg, &a, &b, &mut sink).unwrap();
+    let sim = gemm::simulate_traced(&cfg, Dataflow::OutputStationary, &a, &b, &mut sink).unwrap();
     let mut last_cycle = 0u64;
     let mut fold_open = false;
     let mut cycle_events = 0u64;
@@ -185,7 +173,7 @@ fn replay_of_simulated_fold_stats_reproduces_the_simulation() {
     let cfg = ArrayConfig::new(4, 4).unwrap();
     let (a, b) = tensors(16, 3, 11);
     let mut sink = UtilizationSink::new(4, 4);
-    let sim = ws_gemm::simulate_traced(&cfg, &a, &b, &mut sink).unwrap();
+    let sim = gemm::simulate_traced(&cfg, Dataflow::WeightStationary, &a, &b, &mut sink).unwrap();
     let specs: Vec<FoldSpec> = sink
         .fold_stats()
         .iter()
