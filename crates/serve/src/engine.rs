@@ -798,7 +798,7 @@ pub fn simulate_observed(
             name: spec.name(),
             rows: spec.rows,
             cols: spec.cols,
-            dataflow: spec.dataflow_name().to_string(),
+            dataflow: spec.dataflow.mnemonic().to_string(),
             batches: state.batches,
             requests: state.requests,
             busy_cycles: state.busy_cycles,

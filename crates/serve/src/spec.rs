@@ -106,12 +106,7 @@ impl ArraySpec {
     /// Short display name, e.g. `64x64:os` — also the Chrome-trace lane
     /// label and the per-array report key.
     pub fn name(&self) -> String {
-        format!("{}x{}:{}", self.rows, self.cols, self.dataflow_name())
-    }
-
-    /// The dataflow as its CLI short name (`os` / `ws` / `is`).
-    pub fn dataflow_name(&self) -> &'static str {
-        self.dataflow.mnemonic()
+        format!("{}x{}:{}", self.rows, self.cols, self.dataflow.mnemonic())
     }
 
     /// Pipeline-refill penalty a preemption charges the victim on this
