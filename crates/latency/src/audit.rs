@@ -411,10 +411,12 @@ static VERDICTS: OnceLock<Mutex<HashMap<Key, Result<(), LatencyError>>>> = OnceL
 ///
 /// [`LatencyError::PlanAudit`] when the audit fails.
 pub fn gate(model: &LatencyModel) -> Result<(), LatencyError> {
-    let _span = fuseconv_telemetry::span("latency.audit_gate");
     let cache = VERDICTS.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = cache.lock().unwrap_or_else(PoisonError::into_inner);
     let verdict = map.entry(key_of(model)).or_insert_with(|| {
+        // Only a computed verdict is profiled: a cache hit is one map
+        // lookup, cheaper than the span that would time it.
+        let _span = fuseconv_telemetry::span("latency.audit_gate");
         let v = verdict_for(model);
         if v.is_err() {
             fuseconv_telemetry::counter("latency.gate_warnings").inc();

@@ -21,19 +21,12 @@
 
 use crate::map::{c64, FoldOverlap, LatencyError, LatencyModel, Lowering};
 use fuseconv_nn::ops::Op;
-use fuseconv_systolic::conv1d;
-use fuseconv_trace::{FoldKind, FoldPhases, FoldSpec};
+use fuseconv_systolic::{conv1d, ArrayConfig};
+use fuseconv_trace::{Dataflow, FoldKind, FoldPhases, FoldSpec};
 
-/// One fold's spec from its table phases; `None` when a phase overflowed
-/// or an occupancy does not fit `u32`.
-fn spec(
-    kind: FoldKind,
-    ru: u64,
-    cu: u64,
-    phases: Option<FoldPhases>,
-    macs: u64,
-) -> Option<FoldSpec> {
-    let p = phases?;
+/// One fold's spec from its table phases; `None` when an occupancy does
+/// not fit `u32`.
+fn spec(kind: FoldKind, ru: u64, cu: u64, p: FoldPhases, macs: u64) -> Option<FoldSpec> {
     Some(FoldSpec {
         tag: 0,
         kind,
@@ -46,24 +39,37 @@ fn spec(
     })
 }
 
+type GemmPlan = fn(&ArrayConfig, [u64; 3], &mut Vec<FoldSpec>) -> Option<()>;
+
+/// `LatencyModel::gemm_plan`'s loop for `Dataflow::ALL[D]`.
+fn gemm_folds<const D: usize>(
+    array: &ArrayConfig,
+    [m, k, n]: [u64; 3],
+    out: &mut Vec<FoldSpec>,
+) -> Option<()> {
+    let dataflow = Dataflow::ALL[D];
+    let [r_ext, c_ext, t] = dataflow.split(m, k, n);
+    for r0 in (0..r_ext).step_by(array.rows()) {
+        let ru = c64(array.rows()).min(r_ext - r0);
+        for c0 in (0..c_ext).step_by(array.cols()) {
+            let cu = c64(array.cols()).min(c_ext - c0);
+            let phases = dataflow.fold_phases(ru, cu, t)?;
+            let macs = ru.checked_mul(cu)?.checked_mul(t)?;
+            out.push(spec(dataflow.fold_kind(), ru, cu, phases, macs)?);
+        }
+    }
+    Some(())
+}
+
 impl LatencyModel {
     /// Emits one fold per GEMM tile under the configured dataflow: the
     /// dataflow's rows and columns dimensions tiled onto the array, each
     /// fold streaming the whole time dimension.
     fn gemm_plan(&self, m: u64, k: u64, n: u64, out: &mut Vec<FoldSpec>) -> Option<()> {
-        let (rows, cols) = (self.array().rows(), self.array().cols());
-        let dataflow = self.dataflow();
-        let [r_ext, c_ext, t] = dataflow.split(m, k, n);
-        for r0 in (0..r_ext).step_by(rows) {
-            let ru = c64(rows).min(r_ext - r0);
-            for c0 in (0..c_ext).step_by(cols) {
-                let cu = c64(cols).min(c_ext - c0);
-                let phases = dataflow.fold_phases(ru, cu, t);
-                let macs = ru.checked_mul(cu)?.checked_mul(t)?;
-                out.push(spec(dataflow.fold_kind(), ru, cu, phases, macs)?);
-            }
-        }
-        Some(())
+        // One loop compiled per dataflow, so the table's entries are
+        // constants in it.
+        const PLANS: [GemmPlan; 3] = [gemm_folds::<0>, gemm_folds::<1>, gemm_folds::<2>];
+        PLANS[self.dataflow() as usize](self.array(), [m, k, n], out)
     }
 
     /// Emits the packed row-broadcast folds (mirrors
@@ -89,14 +95,17 @@ impl LatencyModel {
         let width = lpr.checked_mul(l_out)?;
         for chunk in slot_lines.chunks(rows) {
             let ru = chunk.len();
+            // A packed row is busy on its own lines' outputs only: a
+            // remainder slot holds fewer than `lpr` lines.
+            let packed_busy = c64(chunk.iter().sum::<usize>()).checked_mul(c64(l_out))?;
             for c0 in (0..width).step_by(cols) {
                 let cw = cols.min(width - c0);
-                // A slot is busy on its own lines' outputs only: a
-                // remainder slot holds fewer than `lpr` lines.
-                let busy = chunk
-                    .iter()
-                    .try_fold(0u64, |acc, &n| acc.checked_add(c64(cw.min(n * l_out))))?;
-                let phases = FoldPhases::row_broadcast(c64(ru), c64(cw), c64(k));
+                let busy = if lpr == 1 {
+                    c64(ru).checked_mul(c64(cw))?
+                } else {
+                    packed_busy
+                };
+                let phases = FoldPhases::row_broadcast(c64(ru), c64(cw), c64(k))?;
                 let macs = busy.checked_mul(c64(k))?;
                 out.push(spec(
                     FoldKind::RowBroadcast,
@@ -145,14 +154,7 @@ impl LatencyModel {
         let mut plan = Vec::new();
         let planned = match self.lower(op)? {
             Lowering::Gemm { m, k, n, repeats } => {
-                // Repeated GEMMs (depthwise channels, §III-B) fold
-                // identically: plan one and copy it.
-                let planned = self.gemm_plan(m, k, n, &mut plan);
-                let one = plan.len();
-                for _ in 1..repeats {
-                    plan.extend_from_within(..one);
-                }
-                planned
+                (0..repeats).try_for_each(|_| self.gemm_plan(m, k, n, &mut plan))
             }
             Lowering::Fuse { c, lines, l_out, k } => self.fuse_plan(c, lines, l_out, k, &mut plan),
         };
