@@ -7,6 +7,7 @@
 //! diagnostics and renders them as text or JSON (hand-rolled — the
 //! workspace carries no serde).
 
+use fuseconv_telemetry::json_escape;
 use std::fmt;
 
 /// Stable identifier of one analyzer rule.
@@ -520,23 +521,6 @@ impl Report {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,11 +619,7 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"rule\":\"SCH001\""), "{json}");
         assert!(json.contains("\"dependence\":[0,0,1]"), "{json}");
-        // Balanced braces/brackets (a cheap well-formedness proxy given
-        // the workspace has no JSON parser).
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
+        fuseconv_telemetry::json::parse(&json).expect("report parses");
     }
 
     #[test]

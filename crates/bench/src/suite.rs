@@ -23,6 +23,7 @@ use fuseconv_perf::replay_counted;
 use fuseconv_serve as serve;
 use fuseconv_systolic::conv1d::ChannelLines;
 use fuseconv_systolic::{conv1d, gemm, ArrayConfig};
+use fuseconv_telemetry::json::{self, Value};
 use fuseconv_tensor::rng::Rng;
 use fuseconv_tensor::Tensor;
 use fuseconv_trace::FoldSpec;
@@ -259,8 +260,7 @@ pub fn min_merge(runs: &[Vec<SuiteBench>]) -> Vec<SuiteBench> {
 
 /// Renders suite results as `BENCH_fuseconv.json` (schema
 /// `fuseconv-bench-v1`), with run provenance (`fuseconv-manifest-v1`)
-/// embedded under `"manifest"`. [`parse_json`] ignores the manifest: its
-/// line prefixes (`"name":`, `"ns_per_iter":`) never occur in one.
+/// embedded under `"manifest"`.
 pub fn to_json(benches: &[SuiteBench]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"fuseconv-bench-v1\",");
@@ -286,30 +286,33 @@ pub fn to_json(benches: &[SuiteBench]) -> String {
 }
 
 /// Parses a `fuseconv-bench-v1` JSON file back to `(name, ns_per_iter)`
-/// pairs. Tolerant line-based scanning — exactly inverse to [`to_json`]'s
-/// one-field-per-line output; unknown fields are ignored.
-pub fn parse_json(s: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut name: Option<String> = None;
-    for line in s.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"name\":") {
-            name = rest
-                .trim()
-                .trim_end_matches(',')
-                .trim_matches('"')
-                .to_string()
-                .into();
-        } else if let Some(rest) = line.strip_prefix("\"ns_per_iter\":") {
-            if let (Some(n), Ok(v)) = (
-                name.take(),
-                rest.trim().trim_end_matches(',').parse::<f64>(),
-            ) {
-                out.push((n, v));
+/// pairs, one per entry of its `benches` array; other fields are
+/// ignored.
+///
+/// # Errors
+///
+/// Returns a message when the text is not JSON or an entry lacks a
+/// string `name` or a numeric `ns_per_iter`, so a truncated or
+/// hand-damaged baseline fails the gate instead of silently comparing
+/// fewer benches.
+pub fn parse_json(s: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = json::parse(s).map_err(|e| e.to_string())?;
+    let benches = doc
+        .get("benches")
+        .and_then(Value::as_array)
+        .ok_or("no `benches` array")?;
+    benches
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let name = b.get("name").and_then(Value::as_str);
+            let ns = b.get("ns_per_iter").and_then(Value::as_f64);
+            match (name, ns) {
+                (Some(name), Some(ns)) => Ok((name.to_owned(), ns)),
+                _ => Err(format!("bench {i} lacks a name or ns_per_iter")),
             }
-        }
-    }
-    out
+        })
+        .collect()
 }
 
 /// The outcome of a baseline comparison.
@@ -399,11 +402,22 @@ mod tests {
         let benches = vec![bench("sim/gemm_os", 123.4), bench("analytic/plan", 5678.9)];
         let json = to_json(&benches);
         assert!(json.contains("\"schema\": \"fuseconv-bench-v1\""));
-        let parsed = parse_json(&json);
+        let parsed = parse_json(&json).expect("rendered suite parses");
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "sim/gemm_os");
         assert!((parsed[0].1 - 123.4).abs() < 0.05);
         assert!((parsed[1].1 - 5678.9).abs() < 0.05);
+    }
+
+    #[test]
+    fn baseline_parse_rejects_truncation_and_accepts_reformatting() {
+        let benches: Vec<SuiteBench> = (0..11).map(|i| bench(&format!("b{i}"), 10.0)).collect();
+        let json = to_json(&benches);
+        let first_20_lines: String = json.lines().take(20).collect::<Vec<_>>().join("\n");
+        assert!(parse_json(&first_20_lines).is_err());
+        let one_line: String = json.lines().map(str::trim).collect();
+        assert_eq!(parse_json(&one_line), parse_json(&json));
+        assert_eq!(parse_json(&one_line).map(|b| b.len()), Ok(11));
     }
 
     #[test]

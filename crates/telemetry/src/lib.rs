@@ -18,21 +18,25 @@
 //! * [`manifest`] — run provenance: a [`RunManifest`]
 //!   (`fuseconv-manifest-v1`: tool version, config hash, array
 //!   dims/dataflow, seed, host triple, timing) embedded into every JSON
-//!   artifact the workspace emits.
+//!   artifact the workspace emits;
+//! * [`json`] — the one JSON string [`json_escape`] every artifact
+//!   writer shares, and a strict [`json::parse`] that reads artifacts
+//!   back.
 //!
 //! A structured stderr [`log`] with a process-wide level filter rounds
 //! it out, replacing ad-hoc `eprintln!` call sites in binaries and the
 //! warn-once gate messages in `systolic`/`latency`.
 //!
-//! The crate is dependency-free by design (hand-rolled JSON) and sits
-//! below every other workspace crate, including `fuseconv-trace`. It is
-//! also the only crate allowed to call `std::time::Instant::now`
+//! The crate is dependency-free by design (hand-rolled JSON writers and
+//! parser) and sits below every other workspace crate, including
+//! `fuseconv-trace`. It is also the only crate allowed to call `std::time::Instant::now`
 //! (workspace-lint rule 6): all other host timing goes through
 //! [`Stopwatch`] or spans.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod log;
 pub mod manifest;
 pub mod metrics;
@@ -40,6 +44,7 @@ pub mod sketch;
 pub mod span;
 pub mod time;
 
+pub use json::escape as json_escape;
 pub use manifest::{fnv1a64, RunManifest, MANIFEST_SCHEMA};
 pub use metrics::{
     counter, gauge, histogram, snapshot as metrics_snapshot, Counter, Gauge, Histogram,

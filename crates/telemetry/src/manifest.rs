@@ -12,6 +12,7 @@
 //! The field list is flat and its order is fixed — golden schema tests
 //! (`tests/golden/manifest_schema.json`) pin both.
 
+use crate::json::escape as json_escape;
 use crate::time::{unix_millis, Stopwatch};
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
@@ -232,26 +233,6 @@ impl RunManifest {
     }
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,11 +292,5 @@ mod tests {
             assert!(pretty.contains(&format!("\"{key}\": ")), "pretty {key}");
             assert!(compact.contains(&format!("\"{key}\":")), "compact {key}");
         }
-    }
-
-    #[test]
-    fn json_escape_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

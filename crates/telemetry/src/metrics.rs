@@ -9,7 +9,8 @@
 //! rendering order is the metric-name order — deterministic across runs
 //! regardless of registration order.
 
-use crate::manifest::{json_escape, RunManifest};
+use crate::json::escape as json_escape;
+use crate::manifest::RunManifest;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

@@ -21,7 +21,8 @@
 //! `fuseconv-trace` sink (host spans live on pid 1; the simulated
 //! array uses pid 0).
 
-use crate::manifest::{json_escape, RunManifest};
+use crate::json::escape as json_escape;
+use crate::manifest::RunManifest;
 use crate::time::Stopwatch;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -366,9 +367,11 @@ impl SpanTree {
     #[must_use]
     pub fn chrome_trace_json(&self, manifest: &RunManifest) -> String {
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+        // Thread names and spans follow only when events were retained.
+        let comma = if self.events.is_empty() { "" } else { "," };
         let _ = writeln!(
             out,
-            " {{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"name\":\"fuseconv host\"}}}},"
+            " {{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"name\":\"fuseconv host\"}}}}{comma}"
         );
         let mut tids: Vec<u64> = self.events.iter().map(|e| e.1).collect();
         tids.sort_unstable();
@@ -500,10 +503,8 @@ mod tests {
         assert!(json.contains("\"pid\":1"));
         assert!(json.contains("\"manifest\":{\"schema\":\"fuseconv-manifest-v1\""));
         assert!(json.trim_end().ends_with('}'));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces"
-        );
+        crate::json::parse(&json).expect("host trace parses");
+        let empty = SpanTree::default().chrome_trace_json(&RunManifest::capture());
+        crate::json::parse(&empty).expect("event-free host trace parses");
     }
 }

@@ -11,75 +11,12 @@ use fuseconv::latency::LatencyModel;
 use fuseconv::models::zoo;
 use fuseconv::nn::FuSeVariant;
 use fuseconv::systolic::ArrayConfig;
+use fuseconv::telemetry::json::{self, Value};
+
+mod common;
+use common::golden_list;
 
 const GOLDEN: &str = include_str!("golden/analyze_schema.json");
-
-/// The quoted strings of one named golden array, e.g. `golden_list("rules")`.
-fn golden_list(name: &str) -> Vec<String> {
-    let start = GOLDEN
-        .find(&format!("\"{name}\""))
-        .unwrap_or_else(|| panic!("golden file lacks section `{name}`"));
-    let open = GOLDEN[start..].find('[').expect("section is an array") + start;
-    let close = GOLDEN[open..].find(']').expect("array closes") + open;
-    let mut out = Vec::new();
-    let mut rest = &GOLDEN[open + 1..close];
-    while let Some(q0) = rest.find('"') {
-        let q1 = rest[q0 + 1..].find('"').expect("string closes") + q0 + 1;
-        out.push(rest[q0 + 1..q1].to_string());
-        rest = &rest[q1 + 1..];
-    }
-    out
-}
-
-/// Distinct object keys found at a given brace depth of a JSON document
-/// (depth 1 = the outermost object), in first-appearance order.
-fn keys_at_depth(json: &str, target: usize) -> Vec<String> {
-    let bytes = json.as_bytes();
-    let mut keys: Vec<String> = Vec::new();
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                let is_key = bytes.get(j + 1) == Some(&b':');
-                if is_key && depth == target {
-                    let key = json[start..j].to_string();
-                    if !keys.contains(&key) {
-                        keys.push(key);
-                    }
-                }
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    keys
-}
-
-/// Every value of a `"field":"..."` pair in the document.
-fn string_values_of(json: &str, field: &str) -> Vec<String> {
-    let needle = format!("\"{field}\":\"");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        let start = at + needle.len();
-        let end = rest[start..].find('"').expect("value closes") + start;
-        out.push(rest[start..end].to_string());
-        rest = &rest[end..];
-    }
-    out
-}
 
 /// The report the CLI assembles for `fuseconv analyze --array 8` on the
 /// default network: MobileNet-V2 in all three variants, duplicate
@@ -110,7 +47,7 @@ fn rule_catalogue_matches_golden_schema() {
     let codes: Vec<String> = RuleId::ALL.iter().map(|r| r.code().to_string()).collect();
     assert_eq!(
         codes,
-        golden_list("rules"),
+        golden_list(GOLDEN, "rules"),
         "rule catalogue diverged from tests/golden/analyze_schema.json — \
          renames/removals break downstream report consumers"
     );
@@ -122,7 +59,7 @@ fn severity_names_match_golden_schema() {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    assert_eq!(names, golden_list("severities"));
+    assert_eq!(names, golden_list(GOLDEN, "severities"));
 }
 
 #[test]
@@ -132,32 +69,38 @@ fn analyze_json_report_keys_match_golden_schema() {
         !report.diagnostics.is_empty(),
         "schema check needs at least one diagnostic to pin object keys"
     );
-    let json = report.to_json();
+    let doc = json::parse(&report.to_json()).expect("report parses");
     assert_eq!(
-        keys_at_depth(&json, 1),
-        golden_list("top_level_keys"),
+        doc.keys_at_depth(1),
+        golden_list(GOLDEN, "top_level_keys"),
         "top-level report keys changed"
     );
     // The diagnostics array's objects sit one level below the array, two
     // below the root.
     assert_eq!(
-        keys_at_depth(&json, 3),
-        golden_list("diagnostic_keys"),
+        doc.keys_at_depth(3),
+        golden_list(GOLDEN, "diagnostic_keys"),
         "per-diagnostic object keys changed"
     );
 }
 
 #[test]
 fn analyze_json_report_values_stay_within_golden_vocabulary() {
-    let json = cli_equivalent_report().to_json();
-    let rules = golden_list("rules");
-    let severities = golden_list("severities");
-    let seen_rules = string_values_of(&json, "rule");
+    let doc = json::parse(&cli_equivalent_report().to_json()).expect("report parses");
+    let rules = golden_list(GOLDEN, "rules");
+    let severities = golden_list(GOLDEN, "severities");
+    let strings = |key| {
+        doc.values_of(key)
+            .into_iter()
+            .filter_map(Value::as_str)
+            .map(str::to_owned)
+    };
+    let seen_rules: Vec<String> = strings("rule").collect();
     assert!(!seen_rules.is_empty());
     for r in seen_rules {
         assert!(rules.contains(&r), "rule `{r}` missing from golden schema");
     }
-    for s in string_values_of(&json, "severity") {
+    for s in strings("severity") {
         assert!(
             severities.contains(&s),
             "severity `{s}` missing from golden schema"

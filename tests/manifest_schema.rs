@@ -1,8 +1,8 @@
 //! Golden-file regression test for the `fuseconv-manifest-v1` run
 //! provenance object. Every JSON artifact the workspace emits (perf
 //! reports, bench suites, analyze reports, Chrome traces, metrics
-//! snapshots, serve reports and pod traces) embeds a manifest under a
-//! top-level `"manifest"` key;
+//! snapshots, serve reports, serve time-series and pod traces) embeds a
+//! manifest under a top-level `"manifest"` key;
 //! `tests/golden/manifest_schema.json` pins its field set and order so a
 //! rename or removal shows up as a reviewable golden diff. Adding a field
 //! is the one additive change the golden file expects — append it to the
@@ -13,115 +13,40 @@ use fuseconv::latency::LatencyModel;
 use fuseconv::models::zoo;
 use fuseconv::perf::network_perf_report;
 use fuseconv::systolic::ArrayConfig;
-use fuseconv::telemetry::{RunManifest, MANIFEST_SCHEMA};
+use fuseconv::telemetry::json::{self, Value};
+use fuseconv::telemetry::{fnv1a64, RunManifest, MANIFEST_SCHEMA};
 use fuseconv::trace::{ChromeTraceSink, FoldKind, TraceEvent, TraceSink};
 use fuseconv_bench::micro::Micro;
 use fuseconv_bench::suite::{run_suite, to_json as bench_to_json};
 
+mod common;
+use common::golden_list;
+
 const GOLDEN: &str = include_str!("golden/manifest_schema.json");
-
-/// The quoted strings of one named golden array, e.g.
-/// `golden_list("manifest_keys")`.
-fn golden_list(name: &str) -> Vec<String> {
-    let start = GOLDEN
-        .find(&format!("\"{name}\""))
-        .unwrap_or_else(|| panic!("golden file lacks section `{name}`"));
-    let open = GOLDEN[start..].find('[').expect("section is an array") + start;
-    let close = GOLDEN[open..].find(']').expect("array closes") + open;
-    let mut out = Vec::new();
-    let mut rest = &GOLDEN[open + 1..close];
-    while let Some(q0) = rest.find('"') {
-        let q1 = rest[q0 + 1..].find('"').expect("string closes") + q0 + 1;
-        out.push(rest[q0 + 1..q1].to_string());
-        rest = &rest[q1 + 1..];
-    }
-    out
-}
-
-/// Distinct object keys found at a given brace depth of a JSON document
-/// (depth 1 = the outermost object), in first-appearance order. Works
-/// for both pretty (`"key": v`) and compact (`"key":v`) renderings.
-fn keys_at_depth(json: &str, target: usize) -> Vec<String> {
-    let bytes = json.as_bytes();
-    let mut keys: Vec<String> = Vec::new();
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                let is_key = bytes.get(j + 1) == Some(&b':');
-                if is_key && depth == target {
-                    let key = json[start..j].to_string();
-                    if !keys.contains(&key) {
-                        keys.push(key);
-                    }
-                }
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    keys
-}
-
-/// Extracts the (last) top-level `"manifest"` object of an artifact by
-/// brace matching. Manifest string fields never contain braces, so the
-/// count is exact.
-fn manifest_object(json: &str) -> String {
-    let at = json
-        .rfind("\"manifest\":")
-        .expect("artifact lacks a \"manifest\" key");
-    let open = json[at..].find('{').expect("manifest is an object") + at;
-    let mut depth = 0usize;
-    for (i, b) in json[open..].bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return json[open..=open + i].to_string();
-                }
-            }
-            _ => {}
-        }
-    }
-    panic!("manifest object never closes");
-}
 
 #[test]
 fn manifest_renderings_match_golden_schema() {
-    let golden = golden_list("manifest_keys");
+    let golden = golden_list(GOLDEN, "manifest_keys");
     let manifest = RunManifest::capture()
         .with_config("test invocation")
         .with_seed(7)
         .with_array(8, 8, true)
         .with_dataflow("os");
     for json in [manifest.to_json_pretty(""), manifest.to_json_compact()] {
+        let doc = json::parse(&json).expect("manifest parses");
+        assert_eq!(doc.keys_at_depth(1), golden, "manifest field set changed");
         assert_eq!(
-            keys_at_depth(&json, 1),
-            golden,
-            "manifest field set changed"
+            doc.get("schema").and_then(Value::as_str),
+            Some(MANIFEST_SCHEMA)
         );
-        assert!(json.contains(MANIFEST_SCHEMA));
     }
     assert!(manifest.config_hash().starts_with("fnv1a64:"));
-    assert_eq!(golden_list("schema_version"), vec![MANIFEST_SCHEMA]);
+    assert_eq!(golden_list(GOLDEN, "schema_version"), vec![MANIFEST_SCHEMA]);
 }
 
 #[test]
 fn every_json_artifact_embeds_a_golden_manifest() {
-    let golden = golden_list("manifest_keys");
+    let golden = golden_list(GOLDEN, "manifest_keys");
     let array = ArrayConfig::square(8)
         .expect("8 is nonzero")
         .with_broadcast(true);
@@ -176,21 +101,45 @@ fn every_json_artifact_embeds_a_golden_manifest() {
         ..fuseconv::serve::ServeConfig::default()
     };
     let mut pod_trace = fuseconv::serve::PodTraceSink::new(&pod);
-    let serve = fuseconv::serve::simulate(&pod, &workload, &cfg, Some(&mut pod_trace))
-        .expect("pod simulation runs");
+    let (serve, timeseries) = fuseconv::serve::simulate_observed(
+        &pod,
+        &workload,
+        &cfg,
+        Some(&mut pod_trace),
+        Some(&fuseconv::serve::TimeSeriesConfig::new()),
+    )
+    .expect("pod simulation runs");
     artifacts.push(("serve report", serve.to_json()));
     artifacts.push(("serve chrome trace", pod_trace.into_json()));
+    let timeseries = timeseries.expect("time-series requested");
+    artifacts.push(("serve time-series", timeseries.to_json()));
 
     for (name, json) in &artifacts {
-        let manifest = manifest_object(json);
+        let doc = json::parse(json).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let manifest = doc
+            .get("manifest")
+            .unwrap_or_else(|| panic!("{name}: no top-level manifest"));
         assert_eq!(
-            keys_at_depth(&manifest, 1),
+            manifest.keys_at_depth(1),
             golden,
             "{name}: embedded manifest diverged from tests/golden/manifest_schema.json"
         );
-        assert!(
-            manifest.contains(MANIFEST_SCHEMA),
+        let field = |key| manifest.get(key).and_then(Value::as_str);
+        assert_eq!(
+            field("schema"),
+            Some(MANIFEST_SCHEMA),
             "{name}: manifest lacks the {MANIFEST_SCHEMA} tag"
         );
+        let config = field("config").expect("config is a string");
+        let hash = format!("fnv1a64:{:016x}", fnv1a64(config.as_bytes()));
+        assert_eq!(field("config_hash"), Some(hash.as_str()), "{name}");
     }
+
+    // Pretty artifacts embed `to_json_pretty`, compact ones
+    // `to_json_compact`: both must carry the same record.
+    let manifest = RunManifest::capture().with_config("render \"both\"\n");
+    assert_eq!(
+        json::parse(&manifest.to_json_pretty("  ")),
+        json::parse(&manifest.to_json_compact())
+    );
 }

@@ -4,64 +4,15 @@
 //! counters freely); the envelope keys and per-histogram stat keys are
 //! the pinned surface — `tests/golden/metrics_schema.json` holds them.
 
+use fuseconv::telemetry::json;
 use fuseconv::telemetry::{
     counter, gauge, histogram, metrics_snapshot, RunManifest, METRICS_SCHEMA,
 };
 
+mod common;
+use common::golden_list;
+
 const GOLDEN: &str = include_str!("golden/metrics_schema.json");
-
-/// The quoted strings of one named golden array.
-fn golden_list(name: &str) -> Vec<String> {
-    let start = GOLDEN
-        .find(&format!("\"{name}\""))
-        .unwrap_or_else(|| panic!("golden file lacks section `{name}`"));
-    let open = GOLDEN[start..].find('[').expect("section is an array") + start;
-    let close = GOLDEN[open..].find(']').expect("array closes") + open;
-    let mut out = Vec::new();
-    let mut rest = &GOLDEN[open + 1..close];
-    while let Some(q0) = rest.find('"') {
-        let q1 = rest[q0 + 1..].find('"').expect("string closes") + q0 + 1;
-        out.push(rest[q0 + 1..q1].to_string());
-        rest = &rest[q1 + 1..];
-    }
-    out
-}
-
-/// Distinct object keys found at a given brace depth of a JSON document
-/// (depth 1 = the outermost object), in first-appearance order.
-fn keys_at_depth(json: &str, target: usize) -> Vec<String> {
-    let bytes = json.as_bytes();
-    let mut keys: Vec<String> = Vec::new();
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                let is_key = bytes.get(j + 1) == Some(&b':');
-                if is_key && depth == target {
-                    let key = json[start..j].to_string();
-                    if !keys.contains(&key) {
-                        keys.push(key);
-                    }
-                }
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    keys
-}
 
 #[test]
 fn metrics_json_envelope_matches_golden_schema() {
@@ -71,22 +22,21 @@ fn metrics_json_envelope_matches_golden_schema() {
         histogram("test.schema.hist").record(v);
     }
     let json = metrics_snapshot().to_json(&RunManifest::capture());
+    let doc = json::parse(&json).expect("metrics snapshot parses");
     assert_eq!(
-        keys_at_depth(&json, 1),
-        golden_list("top_level_keys"),
+        doc.keys_at_depth(1),
+        golden_list(GOLDEN, "top_level_keys"),
         "metrics envelope keys changed"
     );
     // Per-histogram stat objects are the only depth-3 objects (the
     // manifest is deliberately flat, so its fields stay at depth 2).
     assert_eq!(
-        keys_at_depth(&json, 3),
-        golden_list("histogram_stat_keys"),
+        doc.keys_at_depth(3),
+        golden_list(GOLDEN, "histogram_stat_keys"),
         "histogram stat keys changed"
     );
     assert!(json.contains(&format!("\"schema\": \"{METRICS_SCHEMA}\"")));
-    assert_eq!(golden_list("schema_version"), vec![METRICS_SCHEMA]);
-    // Balanced document, since downstream parsers brace-count.
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
+    assert_eq!(golden_list(GOLDEN, "schema_version"), vec![METRICS_SCHEMA]);
 }
 
 #[test]

@@ -11,77 +11,12 @@ use fuseconv::models::zoo;
 use fuseconv::nn::FuSeVariant;
 use fuseconv::perf::network_perf_report;
 use fuseconv::systolic::ArrayConfig;
+use fuseconv::telemetry::json::{self, Value};
+
+mod common;
+use common::golden_list;
 
 const GOLDEN: &str = include_str!("golden/perf_schema.json");
-
-/// The quoted strings of one named golden array, e.g.
-/// `golden_list("op_keys")`.
-fn golden_list(name: &str) -> Vec<String> {
-    let start = GOLDEN
-        .find(&format!("\"{name}\""))
-        .unwrap_or_else(|| panic!("golden file lacks section `{name}`"));
-    let open = GOLDEN[start..].find('[').expect("section is an array") + start;
-    let close = GOLDEN[open..].find(']').expect("array closes") + open;
-    let mut out = Vec::new();
-    let mut rest = &GOLDEN[open + 1..close];
-    while let Some(q0) = rest.find('"') {
-        let q1 = rest[q0 + 1..].find('"').expect("string closes") + q0 + 1;
-        out.push(rest[q0 + 1..q1].to_string());
-        rest = &rest[q1 + 1..];
-    }
-    out
-}
-
-/// Distinct object keys found at a given brace depth of a JSON document
-/// (depth 1 = the outermost object), in first-appearance order.
-fn keys_at_depth(json: &str, target: usize) -> Vec<String> {
-    let bytes = json.as_bytes();
-    let mut keys: Vec<String> = Vec::new();
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                // The writer separates keys from values with `": "`.
-                let is_key = bytes.get(j + 1) == Some(&b':');
-                if is_key && depth == target {
-                    let key = json[start..j].to_string();
-                    if !keys.contains(&key) {
-                        keys.push(key);
-                    }
-                }
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    keys
-}
-
-/// Every value of a `"field": "..."` pair in the document.
-fn string_values_of(json: &str, field: &str) -> Vec<String> {
-    let needle = format!("\"{field}\": \"");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        let start = at + needle.len();
-        let end = rest[start..].find('"').expect("value closes") + start;
-        out.push(rest[start..end].to_string());
-        rest = &rest[end..];
-    }
-    out
-}
 
 /// The JSON the CLI writes for `fuseconv perf --array 8` on MobileNet-V2:
 /// one report per variant covering both the baseline (depthwise) and the
@@ -108,21 +43,22 @@ fn cli_equivalent_reports() -> Vec<String> {
 #[test]
 fn perf_json_keys_match_golden_schema() {
     for json in cli_equivalent_reports() {
+        let doc = json::parse(&json).expect("perf report parses");
         assert_eq!(
-            keys_at_depth(&json, 1),
-            golden_list("top_level_keys"),
+            doc.keys_at_depth(1),
+            golden_list(GOLDEN, "top_level_keys"),
             "top-level report keys changed"
         );
         assert_eq!(
-            keys_at_depth(&json, 2),
-            golden_list("nested_keys"),
+            doc.keys_at_depth(2),
+            golden_list(GOLDEN, "nested_keys"),
             "array/totals/roofline/traffic keys changed"
         );
         // The ops array's objects sit one level below the array, two
         // below the root.
         assert_eq!(
-            keys_at_depth(&json, 3),
-            golden_list("op_keys"),
+            doc.keys_at_depth(3),
+            golden_list(GOLDEN, "op_keys"),
             "per-op object keys changed"
         );
     }
@@ -130,13 +66,20 @@ fn perf_json_keys_match_golden_schema() {
 
 #[test]
 fn perf_json_values_stay_within_golden_vocabulary() {
-    let bounds = golden_list("bounds");
-    let schemas = golden_list("schema_version");
+    let bounds = golden_list(GOLDEN, "bounds");
+    let schemas = golden_list(GOLDEN, "schema_version");
     for json in cli_equivalent_reports() {
-        for s in string_values_of(&json, "schema") {
+        let doc = json::parse(&json).expect("perf report parses");
+        let strings = |key| {
+            doc.values_of(key)
+                .into_iter()
+                .filter_map(Value::as_str)
+                .map(str::to_owned)
+        };
+        for s in strings("schema") {
             assert!(schemas.contains(&s), "schema tag `{s}` not pinned");
         }
-        let seen_bounds = string_values_of(&json, "bound");
+        let seen_bounds: Vec<String> = strings("bound").collect();
         assert!(!seen_bounds.is_empty());
         for b in seen_bounds {
             assert!(bounds.contains(&b), "bound `{b}` not in golden vocabulary");
@@ -147,8 +90,7 @@ fn perf_json_values_stay_within_golden_vocabulary() {
 #[test]
 fn perf_json_is_balanced_and_accountable() {
     for json in cli_equivalent_reports() {
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        json::parse(&json).expect("perf report parses");
         assert!(json.contains("\"schema\": \"fuseconv-perf-v1\""));
     }
 }

@@ -10,77 +10,12 @@
 use fuseconv::models::zoo;
 use fuseconv::nn::FuSeVariant;
 use fuseconv::serve::{simulate, BatchPolicy, Dispatch, PodSpec, ServeConfig, Workload};
+use fuseconv::telemetry::json::{self, Value};
+
+mod common;
+use common::golden_list;
 
 const GOLDEN: &str = include_str!("golden/serve_schema.json");
-
-/// The quoted strings of one named golden array, e.g.
-/// `golden_list("top_level_keys")`.
-fn golden_list(name: &str) -> Vec<String> {
-    let start = GOLDEN
-        .find(&format!("\"{name}\""))
-        .unwrap_or_else(|| panic!("golden file lacks section `{name}`"));
-    let open = GOLDEN[start..].find('[').expect("section is an array") + start;
-    let close = GOLDEN[open..].find(']').expect("array closes") + open;
-    let mut out = Vec::new();
-    let mut rest = &GOLDEN[open + 1..close];
-    while let Some(q0) = rest.find('"') {
-        let q1 = rest[q0 + 1..].find('"').expect("string closes") + q0 + 1;
-        out.push(rest[q0 + 1..q1].to_string());
-        rest = &rest[q1 + 1..];
-    }
-    out
-}
-
-/// Distinct object keys found at a given brace depth of a JSON document
-/// (depth 1 = the outermost object), in first-appearance order.
-fn keys_at_depth(json: &str, target: usize) -> Vec<String> {
-    let bytes = json.as_bytes();
-    let mut keys: Vec<String> = Vec::new();
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                // The writer separates keys from values with `": "`.
-                let is_key = bytes.get(j + 1) == Some(&b':');
-                if is_key && depth == target {
-                    let key = json[start..j].to_string();
-                    if !keys.contains(&key) {
-                        keys.push(key);
-                    }
-                }
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    keys
-}
-
-/// Every value of a `"field": "..."` pair in the document.
-fn string_values_of(json: &str, field: &str) -> Vec<String> {
-    let needle = format!("\"{field}\": \"");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        let start = at + needle.len();
-        let end = rest[start..].find('"').expect("value closes") + start;
-        out.push(rest[start..end].to_string());
-        rest = &rest[end..];
-    }
-    out
-}
 
 /// Pod reports covering every policy, both dispatch modes and the
 /// preemption path — the same JSON `fuseconv serve --format json` writes.
@@ -133,21 +68,22 @@ fn cli_equivalent_reports() -> Vec<String> {
 #[test]
 fn serve_json_keys_match_golden_schema() {
     for json in cli_equivalent_reports() {
+        let doc = json::parse(&json).expect("serve report parses");
         assert_eq!(
-            keys_at_depth(&json, 1),
-            golden_list("top_level_keys"),
+            doc.keys_at_depth(1),
+            golden_list(GOLDEN, "top_level_keys"),
             "top-level report keys changed"
         );
         assert_eq!(
-            keys_at_depth(&json, 2),
-            golden_list("nested_keys"),
+            doc.keys_at_depth(2),
+            golden_list(GOLDEN, "nested_keys"),
             "config/totals/latency/manifest keys changed"
         );
         // The arrays/networks entries sit one level below their list,
         // two below the root.
         assert_eq!(
-            keys_at_depth(&json, 3),
-            golden_list("entry_keys"),
+            doc.keys_at_depth(3),
+            golden_list(GOLDEN, "entry_keys"),
             "per-array / per-network entry keys changed"
         );
     }
@@ -155,25 +91,32 @@ fn serve_json_keys_match_golden_schema() {
 
 #[test]
 fn serve_json_values_stay_within_golden_vocabulary() {
-    let policies = golden_list("policies");
-    let dispatches = golden_list("dispatches");
-    let dataflows = golden_list("dataflows");
-    let schemas = golden_list("schema_version");
+    let policies = golden_list(GOLDEN, "policies");
+    let dispatches = golden_list(GOLDEN, "dispatches");
+    let dataflows = golden_list(GOLDEN, "dataflows");
+    let schemas = golden_list(GOLDEN, "schema_version");
     let mut seen_policies = Vec::new();
     let mut seen_dispatches = Vec::new();
     for json in cli_equivalent_reports() {
-        for s in string_values_of(&json, "schema") {
+        let doc = json::parse(&json).expect("serve report parses");
+        let strings = |key| {
+            doc.values_of(key)
+                .into_iter()
+                .filter_map(Value::as_str)
+                .map(str::to_owned)
+        };
+        for s in strings("schema") {
             assert!(schemas.contains(&s), "schema tag `{s}` not pinned");
         }
-        for p in string_values_of(&json, "policy") {
+        for p in strings("policy") {
             assert!(policies.contains(&p), "policy `{p}` not in vocabulary");
             seen_policies.push(p);
         }
-        for d in string_values_of(&json, "dispatch") {
+        for d in strings("dispatch") {
             assert!(dispatches.contains(&d), "dispatch `{d}` not in vocabulary");
             seen_dispatches.push(d);
         }
-        for d in string_values_of(&json, "dataflow") {
+        for d in strings("dataflow") {
             assert!(dataflows.contains(&d), "dataflow `{d}` not in vocabulary");
         }
     }
@@ -189,8 +132,7 @@ fn serve_json_values_stay_within_golden_vocabulary() {
 #[test]
 fn serve_json_is_balanced_and_fingerprinted() {
     for json in cli_equivalent_reports() {
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        json::parse(&json).expect("serve report parses");
         assert!(json.contains("\"schema\": \"fuseconv-serve-v1\""));
         // The determinism fingerprint CI keys on.
         assert!(json.contains("\"results_fnv1a64\": \"fnv1a64:"));

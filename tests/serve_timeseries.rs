@@ -264,15 +264,13 @@ fn committed_bench_baseline_prices_recording_within_ten_percent() {
     // committed `BENCH_fuseconv.json` trajectory must tell the same
     // story, so a baseline refresh that silently prices the recorder
     // past its budget fails here.
-    let json = include_str!("../BENCH_fuseconv.json");
+    let baseline = fuseconv_bench::suite::parse_json(include_str!("../BENCH_fuseconv.json"))
+        .expect("committed baseline parses");
     let ns = |name: &str| -> f64 {
-        let at = json
-            .find(&format!("\"name\": \"{name}\""))
-            .unwrap_or_else(|| panic!("baseline lacks bench `{name}`"));
-        let key = "\"ns_per_iter\": ";
-        let at = json[at..].find(key).expect("ns_per_iter follows name") + at + key.len();
-        let end = json[at..].find(',').expect("value closes") + at;
-        json[at..end].trim().parse().expect("numeric ns/iter")
+        let bench = baseline.iter().find(|(n, _)| n == name);
+        bench
+            .unwrap_or_else(|| panic!("baseline lacks bench `{name}`"))
+            .1
     };
     let ratio = ns("serve/timeseries_10k_requests") / ns("serve/fifo_10k_requests");
     assert!(

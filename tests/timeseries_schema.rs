@@ -12,77 +12,12 @@ use fuseconv::nn::FuSeVariant;
 use fuseconv::serve::{
     simulate_observed, BatchPolicy, Dispatch, PodSpec, ServeConfig, TimeSeriesConfig, Workload,
 };
+use fuseconv::telemetry::json::{self, Value};
+
+mod common;
+use common::golden_list;
 
 const GOLDEN: &str = include_str!("golden/timeseries_schema.json");
-
-/// The quoted strings of one named golden array, e.g.
-/// `golden_list("top_level_keys")`.
-fn golden_list(name: &str) -> Vec<String> {
-    let start = GOLDEN
-        .find(&format!("\"{name}\""))
-        .unwrap_or_else(|| panic!("golden file lacks section `{name}`"));
-    let open = GOLDEN[start..].find('[').expect("section is an array") + start;
-    let close = GOLDEN[open..].find(']').expect("array closes") + open;
-    let mut out = Vec::new();
-    let mut rest = &GOLDEN[open + 1..close];
-    while let Some(q0) = rest.find('"') {
-        let q1 = rest[q0 + 1..].find('"').expect("string closes") + q0 + 1;
-        out.push(rest[q0 + 1..q1].to_string());
-        rest = &rest[q1 + 1..];
-    }
-    out
-}
-
-/// Distinct object keys found at a given brace depth of a JSON document
-/// (depth 1 = the outermost object), in first-appearance order.
-fn keys_at_depth(json: &str, target: usize) -> Vec<String> {
-    let bytes = json.as_bytes();
-    let mut keys: Vec<String> = Vec::new();
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                // The writer separates keys from values with `": "`.
-                let is_key = bytes.get(j + 1) == Some(&b':');
-                if is_key && depth == target {
-                    let key = json[start..j].to_string();
-                    if !keys.contains(&key) {
-                        keys.push(key);
-                    }
-                }
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    keys
-}
-
-/// Every value of a `"field": "..."` pair in the document.
-fn string_values_of(json: &str, field: &str) -> Vec<String> {
-    let needle = format!("\"{field}\": \"");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        let start = at + needle.len();
-        let end = rest[start..].find('"').expect("value closes") + start;
-        out.push(rest[start..end].to_string());
-        rest = &rest[end..];
-    }
-    out
-}
 
 /// Time-series artifacts from overloaded runs — overload guarantees
 /// burn-rate alerts, so every entry family (windows, alerts,
@@ -135,21 +70,22 @@ fn overloaded_artifacts() -> Vec<String> {
 #[test]
 fn timeseries_json_keys_match_golden_schema() {
     for json in overloaded_artifacts() {
+        let doc = json::parse(&json).expect("time-series artifact parses");
         assert_eq!(
-            keys_at_depth(&json, 1),
-            golden_list("top_level_keys"),
+            doc.keys_at_depth(1),
+            golden_list(GOLDEN, "top_level_keys"),
             "top-level artifact keys changed"
         );
         assert_eq!(
-            keys_at_depth(&json, 2),
-            golden_list("nested_keys"),
+            doc.keys_at_depth(2),
+            golden_list(GOLDEN, "nested_keys"),
             "config/totals/latency_sketch/manifest keys changed"
         );
         // Window, alert and exemplar entries sit one level below their
         // list, two below the root.
         assert_eq!(
-            keys_at_depth(&json, 3),
-            golden_list("entry_keys"),
+            doc.keys_at_depth(3),
+            golden_list(GOLDEN, "entry_keys"),
             "per-window / per-alert / per-exemplar entry keys changed"
         );
     }
@@ -157,11 +93,16 @@ fn timeseries_json_keys_match_golden_schema() {
 
 #[test]
 fn timeseries_json_is_balanced_tagged_and_fingerprinted() {
-    let schemas = golden_list("schema_version");
+    let schemas = golden_list(GOLDEN, "schema_version");
     for json in overloaded_artifacts() {
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for s in string_values_of(&json, "schema") {
+        let doc = json::parse(&json).expect("time-series artifact parses");
+        let strings = |key| {
+            doc.values_of(key)
+                .into_iter()
+                .filter_map(Value::as_str)
+                .map(str::to_owned)
+        };
+        for s in strings("schema") {
             assert!(schemas.contains(&s), "schema tag `{s}` not pinned");
         }
         assert!(json.contains("\"schema\": \"fuseconv-serve-timeseries-v1\""));
