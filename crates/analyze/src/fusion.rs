@@ -1,12 +1,18 @@
 //! Fusion-legality analysis (FUS001–FUS006): static liveness, dependence
-//! and on-array residency proofs over the fold-plan IR.
+//! and on-array residency proofs for producer/consumer fold-plan pairs.
 //!
 //! FuSeConv's row/col 1-D banks feed straight into the block's 1×1
 //! pointwise projection, yet every fold of today's flat plan round-trips
 //! its intermediate through SRAM — exactly the producer/consumer traffic
-//! a fused depthwise+pointwise schedule eliminates. This module lifts
-//! each candidate pair into a [`PlanIr`] ([`fuseconv_latency::ir`]) and
-//! proves, statically:
+//! a fused depthwise+pointwise schedule eliminates. This module prices
+//! each candidate pair in closed form from the two plans' fold
+//! footprints: one [`fold_footprint`] pass per plan
+//! ([`PlanFootprint`]) yields every figure the verdict needs, with no
+//! per-fold state kept. Lifting the pair into a [`PlanIr`]
+//! ([`fuseconv_latency::ir`]) and running its liveness and dependence
+//! analyses gives the same verdict field for field; the IR is the oracle
+//! the unit tests hold the closed form to, and [`diagnose_pair_ir`] runs
+//! the rules on a hand-built IR. The rules prove, statically:
 //!
 //! * **FUS001** — the pair is fusible: a producer→consumer dependence
 //!   edge set connects their fold plans, the intermediate tile fits the
@@ -28,13 +34,17 @@
 //!   work.
 //! * **FUS006** — per-network fusion headroom: layers ranked by the SRAM
 //!   round-trip traffic fusion would avoid.
+//!
+//! All element and byte figures saturate at `u64::MAX`, as
+//! [`fold_footprint`] does, so debug and release builds agree.
 
 use crate::diagnostics::{Diagnostic, RuleId, Severity};
 use crate::memory::MemoryBudget;
-use fuseconv_latency::ir::ValueClass;
-use fuseconv_latency::{Dataflow, LatencyModel, PlanIr};
+use fuseconv_latency::ir::{ValueClass, ValueSet};
+use fuseconv_latency::{fold_footprint, Dataflow, FoldFootprint, LatencyModel, PlanIr};
 use fuseconv_models::{op_consumes, Network};
 use fuseconv_nn::ops::Op;
+use fuseconv_trace::FoldSpec;
 
 /// A statically fusible producer/consumer pair, with the proof artifacts
 /// behind its FUS001 verdict.
@@ -46,12 +56,13 @@ pub struct FusiblePair {
     pub producer: Op,
     /// The consuming op (the block's pointwise projection).
     pub consumer: Op,
-    /// Producer→consumer dependence edges in the lifted IR.
+    /// Producer→consumer dependence edges (one per producer fold, into
+    /// the earliest consumer fold, as [`PlanIr::from_pair`] lifts them).
     pub edges: usize,
     /// Largest intermediate output tile that must stay on-array (elems).
     pub tile_elems: u64,
     /// Live interval (inclusive fold indices) of the intermediate tensor
-    /// in the pair's schedule, from the liveness fixpoint.
+    /// in the pair's schedule.
     pub interval: (usize, usize),
     /// SRAM high-water elements saved when the intermediate never stages
     /// in SRAM (the `plan_high_water` delta).
@@ -63,7 +74,47 @@ pub struct FusiblePair {
     pub traffic_bytes: u64,
 }
 
-/// Outcome of checking one lifted producer/consumer pair.
+/// What the FUS rules read of one operator's fold plan, gathered in one
+/// pass of [`fold_footprint`] over its folds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PlanFootprint {
+    /// Folds in the plan.
+    folds: usize,
+    /// Per-stream high-water over the folds (`plan_high_water`).
+    high_water: FoldFootprint,
+    /// Output elements over all folds.
+    ofmap_total: u64,
+    /// Input elements over all folds.
+    ifmap_total: u64,
+}
+
+impl PlanFootprint {
+    /// Summarizes a fold plan.
+    pub(crate) fn of(plan: &[FoldSpec]) -> PlanFootprint {
+        let mut out = PlanFootprint {
+            folds: plan.len(),
+            ..PlanFootprint::default()
+        };
+        for f in plan {
+            let fp = fold_footprint(f);
+            out.high_water = out.high_water.max(fp);
+            out.ofmap_total = out.ofmap_total.saturating_add(fp.ofmap_elems);
+            out.ifmap_total = out.ifmap_total.saturating_add(fp.ifmap_elems);
+        }
+        out
+    }
+}
+
+/// Plans `op` and summarizes the plan, or `None` if it does not plan.
+fn plan_footprint(model: &LatencyModel, op: &Op) -> Option<PlanFootprint> {
+    model
+        .fold_plan(op)
+        .ok()
+        .map(|plan| PlanFootprint::of(&plan))
+}
+
+/// Outcome of checking one producer/consumer pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PairCheck {
     Fusible {
         edges: usize,
@@ -80,14 +131,70 @@ enum PairCheck {
     DataflowMismatch,
 }
 
+/// The FUS004/FUS002 verdict of a pair whose largest intermediate tile
+/// holds `tile_elems`, or `None` if fusing it is legal.
+fn illegal(tile_elems: u64, rows: u64, cols: u64, dataflow: Dataflow) -> Option<PairCheck> {
+    if dataflow == Dataflow::InputStationary {
+        return Some(PairCheck::DataflowMismatch);
+    }
+    let budget_elems = rows.saturating_mul(cols);
+    (tile_elems > budget_elems).then_some(PairCheck::ResidencyExceeded {
+        tile_elems,
+        budget_elems,
+    })
+}
+
+/// Classifies and prices a producer/consumer pair in closed form from
+/// the two plans' footprints. Equal to [`check_pair`] on
+/// `PlanIr::from_pair(producer, consumer)`:
+///
+/// * the intermediates are the producer's output tiles and the
+///   consumer's input tiles, so the tile is the producer's largest
+///   output and the traffic is Σ producer ofmap + Σ consumer ifmap;
+/// * every producer fold has one dependence edge, into the earliest
+///   consumer fold, when there is one;
+/// * the intermediate is live from the first producer fold to the last
+///   consumer fold;
+/// * each fold stages only its own tiles, so the high-water with the
+///   intermediates dropped is the per-stream maximum of the producer
+///   plan without its ofmap stream and the consumer plan without its
+///   ifmap stream.
+fn price_pair(
+    producer: &PlanFootprint,
+    consumer: &PlanFootprint,
+    rows: u64,
+    cols: u64,
+    dataflow: Dataflow,
+) -> PairCheck {
+    let (p, c) = (producer.high_water, consumer.high_water);
+    let tile_elems = p.ofmap_elems;
+    if let Some(verdict) = illegal(tile_elems, rows, cols, dataflow) {
+        return verdict;
+    }
+    let fused = FoldFootprint {
+        ifmap_elems: p.ifmap_elems,
+        filter_elems: p.filter_elems.max(c.filter_elems),
+        ofmap_elems: c.ofmap_elems,
+    };
+    PairCheck::Fusible {
+        edges: if consumer.folds > 0 {
+            producer.folds
+        } else {
+            0
+        },
+        tile_elems,
+        interval: (0, (producer.folds + consumer.folds).saturating_sub(1)),
+        saving_elems: p.max(c).total().saturating_sub(fused.total()),
+        traffic_elems: producer.ofmap_total.saturating_add(consumer.ifmap_total),
+    }
+}
+
 /// Classifies a lifted pair IR against an array's residency budget and
-/// GEMM dataflow.
+/// GEMM dataflow by running the IR's own analyses: cycle detection,
+/// liveness and the high-water with the intermediates dropped.
 fn check_pair(ir: &PlanIr, rows: u64, cols: u64, dataflow: Dataflow) -> PairCheck {
     if ir.has_cycle() {
         return PairCheck::Cycle;
-    }
-    if dataflow == Dataflow::InputStationary {
-        return PairCheck::DataflowMismatch;
     }
     let tile_elems = ir
         .intermediates()
@@ -96,15 +203,11 @@ fn check_pair(ir: &PlanIr, rows: u64, cols: u64, dataflow: Dataflow) -> PairChec
         .map(|&v| ir.value(v).elems)
         .max()
         .unwrap_or(0);
-    let budget_elems = rows * cols;
-    if tile_elems > budget_elems {
-        return PairCheck::ResidencyExceeded {
-            tile_elems,
-            budget_elems,
-        };
+    if let Some(verdict) = illegal(tile_elems, rows, cols, dataflow) {
+        return verdict;
     }
     let edges = ir.nodes().iter().map(|n| n.succs.len()).sum();
-    let mut inter = fuseconv_latency::ir::ValueSet::empty(ir.values().len());
+    let mut inter = ValueSet::empty(ir.values().len());
     for &v in ir.intermediates() {
         inter.insert(v);
     }
@@ -123,13 +226,80 @@ fn check_pair(ir: &PlanIr, rows: u64, cols: u64, dataflow: Dataflow) -> PairChec
         .high_water()
         .total()
         .saturating_sub(ir.high_water_without(ir.intermediates()).total());
-    let traffic_elems = ir.intermediates().iter().map(|&v| ir.value(v).elems).sum();
+    let traffic_elems = ir
+        .intermediates()
+        .iter()
+        .map(|&v| ir.value(v).elems)
+        .fold(0, u64::saturating_add);
     PairCheck::Fusible {
         edges,
         tile_elems,
         interval,
         saving_elems,
         traffic_elems,
+    }
+}
+
+/// Renders one pair verdict as its FUS001/FUS002/FUS003/FUS004 finding.
+fn render_pair(
+    check: PairCheck,
+    rows: u64,
+    cols: u64,
+    bytes_per_elem: u64,
+    context: &str,
+    pair: &str,
+) -> Diagnostic {
+    match check {
+        PairCheck::Cycle => Diagnostic {
+            rule: RuleId::Fus003DependenceCycle,
+            severity: Severity::Error,
+            context: context.to_string(),
+            message: format!("{pair}: the fold dependence graph contains a cycle; no schedule (fused or not) exists"),
+            dependence: None,
+            suggestion: "the lifted plan pair is self-contradictory; rebuild the IR from fold_plan output".into(),
+        },
+        PairCheck::DataflowMismatch => Diagnostic {
+            rule: RuleId::Fus004DataflowMismatch,
+            severity: Severity::Warning,
+            context: context.to_string(),
+            message: format!(
+                "{pair}: the consumer runs input-stationary, preloading its inputs during fill — the producer cannot forward results into a running fold"
+            ),
+            dependence: None,
+            suggestion: "fuse under an output- or weight-stationary consumer dataflow, which streams inputs during compute".into(),
+        },
+        PairCheck::ResidencyExceeded {
+            tile_elems,
+            budget_elems,
+        } => Diagnostic {
+            rule: RuleId::Fus002ResidencyExceeded,
+            severity: Severity::Warning,
+            context: context.to_string(),
+            message: format!(
+                "{pair}: intermediate tile holds {tile_elems} elements but the array retains only {budget_elems} ({rows}x{cols}) on-array; forwarding is impossible at this array size"
+            ),
+            dependence: None,
+            suggestion: "re-tile the producer so each output tile fits the array, or fuse on a larger array".into(),
+        },
+        PairCheck::Fusible {
+            edges,
+            tile_elems,
+            interval,
+            saving_elems,
+            ..
+        } => Diagnostic {
+            rule: RuleId::Fus001FusiblePair,
+            severity: Severity::Info,
+            context: context.to_string(),
+            message: format!(
+                "{pair}: statically fusible — {edges} dependence edges, intermediate tile {tile_elems} elems fits {rows}x{cols} on-array residency over folds {}..={}; keeping it on-array saves {} bytes of SRAM high-water",
+                interval.0,
+                interval.1,
+                saving_elems.saturating_mul(bytes_per_elem),
+            ),
+            dependence: None,
+            suggestion: "schedule the pair back-to-back and forward the producer's output through the array (ROADMAP item 4)".into(),
+        },
     }
 }
 
@@ -146,58 +316,15 @@ pub fn diagnose_pair_ir(
     context: &str,
     pair: &str,
 ) -> Vec<Diagnostic> {
-    match check_pair(ir, rows, cols, dataflow) {
-        PairCheck::Cycle => vec![Diagnostic {
-            rule: RuleId::Fus003DependenceCycle,
-            severity: Severity::Error,
-            context: context.to_string(),
-            message: format!("{pair}: the fold dependence graph contains a cycle; no schedule (fused or not) exists"),
-            dependence: None,
-            suggestion: "the lifted plan pair is self-contradictory; rebuild the IR from fold_plan output".into(),
-        }],
-        PairCheck::DataflowMismatch => vec![Diagnostic {
-            rule: RuleId::Fus004DataflowMismatch,
-            severity: Severity::Warning,
-            context: context.to_string(),
-            message: format!(
-                "{pair}: the consumer runs input-stationary, preloading its inputs during fill — the producer cannot forward results into a running fold"
-            ),
-            dependence: None,
-            suggestion: "fuse under an output- or weight-stationary consumer dataflow, which streams inputs during compute".into(),
-        }],
-        PairCheck::ResidencyExceeded {
-            tile_elems,
-            budget_elems,
-        } => vec![Diagnostic {
-            rule: RuleId::Fus002ResidencyExceeded,
-            severity: Severity::Warning,
-            context: context.to_string(),
-            message: format!(
-                "{pair}: intermediate tile holds {tile_elems} elements but the array retains only {budget_elems} ({rows}x{cols}) on-array; forwarding is impossible at this array size"
-            ),
-            dependence: None,
-            suggestion: "re-tile the producer so each output tile fits the array, or fuse on a larger array".into(),
-        }],
-        PairCheck::Fusible {
-            edges,
-            tile_elems,
-            interval,
-            saving_elems,
-            ..
-        } => vec![Diagnostic {
-            rule: RuleId::Fus001FusiblePair,
-            severity: Severity::Info,
-            context: context.to_string(),
-            message: format!(
-                "{pair}: statically fusible — {edges} dependence edges, intermediate tile {tile_elems} elems fits {rows}x{cols} on-array residency over folds {}..={}; keeping it on-array saves {} bytes of SRAM high-water",
-                interval.0,
-                interval.1,
-                saving_elems * bytes_per_elem,
-            ),
-            dependence: None,
-            suggestion: "schedule the pair back-to-back and forward the producer's output through the array (ROADMAP item 4)".into(),
-        }],
-    }
+    let check = check_pair(ir, rows, cols, dataflow);
+    vec![render_pair(
+        check,
+        rows,
+        cols,
+        bytes_per_elem,
+        context,
+        pair,
+    )]
 }
 
 /// Candidate producer/consumer pairs of one block's op expansion: each
@@ -236,18 +363,19 @@ pub fn fusible_pairs(
     for (block_name, block) in net.blocks() {
         let ops = block.ops();
         for (i, j) in candidate_pairs(&ops) {
-            let (Ok(producer), Ok(consumer)) = (model.fold_plan(&ops[i]), model.fold_plan(&ops[j]))
-            else {
+            let (Some(producer), Some(consumer)) = (
+                plan_footprint(model, &ops[i]),
+                plan_footprint(model, &ops[j]),
+            ) else {
                 continue;
             };
-            let ir = PlanIr::from_pair(&producer, &consumer);
             if let PairCheck::Fusible {
                 edges,
                 tile_elems,
                 interval,
                 saving_elems,
                 traffic_elems,
-            } = check_pair(&ir, rows, cols, model.dataflow())
+            } = price_pair(&producer, &consumer, rows, cols, model.dataflow())
             {
                 out.push(FusiblePair {
                     block: block_name.clone(),
@@ -257,8 +385,8 @@ pub fn fusible_pairs(
                     tile_elems,
                     interval,
                     saving_elems,
-                    saving_bytes: saving_elems * budget.bytes_per_elem,
-                    traffic_bytes: traffic_elems * budget.bytes_per_elem,
+                    saving_bytes: saving_elems.saturating_mul(budget.bytes_per_elem),
+                    traffic_bytes: traffic_elems.saturating_mul(budget.bytes_per_elem),
                 });
             }
         }
@@ -274,49 +402,65 @@ pub fn analyze_fusion(
     net: &Network,
     budget: &MemoryBudget,
 ) -> Vec<Diagnostic> {
+    fusion_findings(model, net, budget, &mut |_, op| plan_footprint(model, op))
+}
+
+/// [`analyze_fusion`] over plan footprints supplied by `footprint`, which
+/// is called with an op's index in [`Network::ops`] order and the op, and
+/// returns `None` for an op that does not plan.
+pub(crate) fn fusion_findings(
+    model: &LatencyModel,
+    net: &Network,
+    budget: &MemoryBudget,
+    footprint: &mut dyn FnMut(usize, &Op) -> Option<PlanFootprint>,
+) -> Vec<Diagnostic> {
     let _span = fuseconv_telemetry::span("analyze.fusion");
     let rows = model.array().rows() as u64;
     let cols = model.array().cols() as u64;
+    let bytes_per_elem = budget.bytes_per_elem;
     let label = format!("{}[{}]", net.name(), net.variant_label());
     let mut out = Vec::new();
     let mut headroom: Vec<(String, String, u64)> = Vec::new();
 
+    // Index of the current block's first op in `net.ops()`.
+    let mut base = 0;
     for (block_name, block) in net.blocks() {
         let ops = block.ops();
         let context = format!("{label}/{block_name}");
         for (i, j) in candidate_pairs(&ops) {
-            let (Ok(producer), Ok(consumer)) = (model.fold_plan(&ops[i]), model.fold_plan(&ops[j]))
+            let (Some(producer), Some(consumer)) =
+                (footprint(base + i, &ops[i]), footprint(base + j, &ops[j]))
             else {
                 continue;
             };
-            let ir = PlanIr::from_pair(&producer, &consumer);
             let pair = format!("`{}` -> `{}`", ops[i], ops[j]);
-            if let PairCheck::Fusible { traffic_elems, .. } =
-                check_pair(&ir, rows, cols, model.dataflow())
-            {
-                headroom.push((
-                    block_name.clone(),
-                    pair.clone(),
-                    traffic_elems * budget.bytes_per_elem,
-                ));
-            }
-            out.extend(diagnose_pair_ir(
-                &ir,
+            let check = price_pair(&producer, &consumer, rows, cols, model.dataflow());
+            out.push(render_pair(
+                check,
                 rows,
                 cols,
-                model.dataflow(),
-                budget.bytes_per_elem,
+                bytes_per_elem,
                 &context,
                 &pair,
             ));
+            if let PairCheck::Fusible { traffic_elems, .. } = check {
+                headroom.push((
+                    block_name.clone(),
+                    pair,
+                    traffic_elems.saturating_mul(bytes_per_elem),
+                ));
+            }
         }
-        out.extend(diagnose_dead_ops(model, &ops, &context));
+        out.extend(diagnose_dead_ops(&ops, &context, |i| {
+            footprint(base + i, &ops[i])
+        }));
+        base += ops.len();
     }
 
     // FUS006: rank blocks by the SRAM round-trip traffic fusion avoids.
     if !headroom.is_empty() {
         headroom.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
-        let total: u64 = headroom.iter().map(|h| h.2).sum();
+        let total = headroom.iter().map(|h| h.2).fold(0, u64::saturating_add);
         let top: Vec<String> = headroom
             .iter()
             .take(5)
@@ -339,10 +483,15 @@ pub fn analyze_fusion(
     out
 }
 
-/// FUS005: ops whose output no later op in the block consumes. The IR
-/// confirms the structural verdict: lifting the op against an empty
-/// consumer shows every output tile dead.
-fn diagnose_dead_ops(model: &LatencyModel, ops: &[Op], context: &str) -> Vec<Diagnostic> {
+/// FUS005: ops whose output no later op in the block consumes. Every
+/// output tile of such an op's plan is dead — one per fold, as lifting
+/// the plan against an empty consumer shows. `footprint` summarizes the
+/// plan of the op at a block index.
+fn diagnose_dead_ops(
+    ops: &[Op],
+    context: &str,
+    mut footprint: impl FnMut(usize) -> Option<PlanFootprint>,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         // The block's last op is the block output: always consumed.
@@ -352,10 +501,7 @@ fn diagnose_dead_ops(model: &LatencyModel, ops: &[Op], context: &str) -> Vec<Dia
         if ops[i + 1..].iter().any(|c| op_consumes(op, c)) {
             continue;
         }
-        let dead_tiles = model
-            .fold_plan(op)
-            .map(|plan| PlanIr::from_pair(&plan, &[]).dead_values().len())
-            .unwrap_or(0);
+        let dead_tiles = footprint(i).map_or(0, |f| f.folds);
         out.push(Diagnostic {
             rule: RuleId::Fus005DeadValue,
             severity: Severity::Warning,
@@ -373,23 +519,219 @@ fn diagnose_dead_ops(model: &LatencyModel, ops: &[Op], context: &str) -> Vec<Dia
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuseconv_latency::{fold_footprint, plan_high_water, FoldFootprint};
+    use fuseconv_latency::plan_high_water;
     use fuseconv_models::zoo;
     use fuseconv_nn::ops::Axis1d;
     use fuseconv_nn::FuSeVariant;
     use fuseconv_systolic::ArrayConfig;
-    use fuseconv_trace::{FoldKind, FoldSpec};
+    use fuseconv_trace::FoldKind;
+    use std::collections::HashSet;
 
-    fn model() -> LatencyModel {
+    fn model_of(side: usize) -> LatencyModel {
         LatencyModel::new(
-            ArrayConfig::square(64)
+            ArrayConfig::square(side)
                 .expect("nonzero")
                 .with_broadcast(true),
         )
     }
 
+    fn model() -> LatencyModel {
+        model_of(64)
+    }
+
     fn budget() -> MemoryBudget {
         MemoryBudget::paper_default()
+    }
+
+    /// The closed-form verdict of a pair next to the IR oracle's.
+    fn both_checks(
+        producer: &[FoldSpec],
+        consumer: &[FoldSpec],
+        rows: u64,
+        cols: u64,
+        dataflow: Dataflow,
+    ) -> (PairCheck, PairCheck) {
+        (
+            price_pair(
+                &PlanFootprint::of(producer),
+                &PlanFootprint::of(consumer),
+                rows,
+                cols,
+                dataflow,
+            ),
+            check_pair(&PlanIr::from_pair(producer, consumer), rows, cols, dataflow),
+        )
+    }
+
+    /// Holds every distinct candidate pair of `nets` to the IR oracle:
+    /// the closed-form verdict must equal `check_pair` on the lifted pair
+    /// in every field, and the FUS005 dead-tile count of each producer
+    /// must equal the IR's dead values with no consumer. A pair's verdict
+    /// depends only on its two ops, so repeated blocks are checked once.
+    /// Returns the number of pairs checked.
+    fn assert_closed_form_matches_ir(model: &LatencyModel, nets: &[Network]) -> usize {
+        let rows = model.array().rows() as u64;
+        let cols = model.array().cols() as u64;
+        let mut pairs = HashSet::new();
+        for net in nets {
+            for (_, block) in net.blocks() {
+                let ops = block.ops();
+                for (i, j) in candidate_pairs(&ops) {
+                    pairs.insert((ops[i], ops[j]));
+                }
+            }
+        }
+        let mut producers = HashSet::new();
+        for &(p, c) in &pairs {
+            let producer = model.fold_plan(&p).expect("zoo op plans");
+            let consumer = model.fold_plan(&c).expect("zoo op plans");
+            let (closed, ir) = both_checks(&producer, &consumer, rows, cols, model.dataflow());
+            let ctx = format!("`{p}` -> `{c}` on {rows}x{cols} {:?}", model.dataflow());
+            assert_eq!(closed, ir, "{ctx}");
+            if producers.insert(p) {
+                assert_eq!(
+                    PlanFootprint::of(&producer).folds,
+                    PlanIr::from_pair(&producer, &[]).dead_values().len(),
+                    "{ctx}: dead tiles"
+                );
+            }
+        }
+        pairs.len()
+    }
+
+    /// `nets` under the Baseline, FuSe-Half and FuSe-Full variants.
+    fn with_variants(nets: &[Network]) -> Vec<Network> {
+        nets.iter()
+            .flat_map(|net| {
+                [
+                    net.clone(),
+                    net.transform_all(FuSeVariant::Half),
+                    net.transform_all(FuSeVariant::Full),
+                ]
+            })
+            .collect()
+    }
+
+    // Array coverage is trimmed to keep the two parity tests near 5 s in
+    // a debug build: every dataflow on 64×64, and the smaller arrays
+    // (whose plans hold 16–64× more folds) only under the dataflows that
+    // reach the pricing. An input-stationary pair is a FUS004 verdict
+    // before any pricing, and 64×64 checks that for the whole zoo.
+
+    #[test]
+    fn closed_form_matches_the_ir_on_the_zoo() {
+        let mut nets = zoo::all_baselines();
+        nets.push(zoo::resnet50());
+        nets.push(zoo::efficientnet_b0());
+        let nets = with_variants(&nets);
+        let configs = Dataflow::ALL
+            .map(|dataflow| (64, dataflow))
+            .into_iter()
+            .chain([(16, Dataflow::WeightStationary)]);
+        for (side, dataflow) in configs {
+            let m = model_of(side).with_dataflow(dataflow);
+            assert!(assert_closed_form_matches_ir(&m, &nets) > 0);
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_the_ir_on_mobilenet_v2_at_8x8() {
+        let nets = with_variants(&[zoo::mobilenet_v2()]);
+        for dataflow in [Dataflow::OutputStationary, Dataflow::WeightStationary] {
+            let m = model_of(8).with_dataflow(dataflow);
+            assert!(assert_closed_form_matches_ir(&m, &nets) > 0);
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_the_ir_on_empty_and_oversized_plans() {
+        let m = model_of(8);
+        let producer = m
+            .fold_plan(&Op::depthwise(9, 9, 6, 3, 1, 1))
+            .expect("plans");
+        let consumer = m.fold_plan(&Op::pointwise(9, 9, 6, 12)).expect("plans");
+        let oversized = [synthetic_spec(100, 100)];
+        for (p, c) in [
+            (&producer[..], &consumer[..]),
+            (&producer[..], &[][..]),
+            (&[][..], &consumer[..]),
+            (&[][..], &[][..]),
+            (&oversized[..], &consumer[..]),
+        ] {
+            for dataflow in Dataflow::ALL {
+                let (closed, ir) = both_checks(p, c, 8, 8, dataflow);
+                assert_eq!(closed, ir, "{} -> {} folds, {dataflow:?}", p.len(), c.len());
+            }
+        }
+        let (closed, _) = both_checks(&oversized, &consumer, 8, 8, Dataflow::OutputStationary);
+        assert_eq!(
+            closed,
+            PairCheck::ResidencyExceeded {
+                tile_elems: 10_000,
+                budget_elems: 64
+            }
+        );
+    }
+
+    #[test]
+    fn huge_pair_figures_saturate_in_every_profile() {
+        // Two consumer folds whose input tiles each saturate u64: the
+        // traffic sum and the byte products must saturate, not wrap (or
+        // panic in a debug build).
+        let producer = [synthetic_spec(8, 8)];
+        let huge = FoldSpec {
+            compute: u64::MAX - 1,
+            ..synthetic_spec(8, 8)
+        };
+        let consumer = [huge, huge];
+        let (closed, ir) = both_checks(&producer, &consumer, 8, 8, Dataflow::OutputStationary);
+        assert_eq!(closed, ir);
+        let PairCheck::Fusible {
+            saving_elems,
+            traffic_elems,
+            ..
+        } = closed
+        else {
+            panic!("pair should be fusible: {closed:?}");
+        };
+        assert_eq!(traffic_elems, u64::MAX);
+        // Both high-waters saturate too, so nothing measurable is saved.
+        assert_eq!(saving_elems, 0);
+        let diags = diagnose_pair_ir(
+            &PlanIr::from_pair(&producer, &consumer),
+            8,
+            8,
+            Dataflow::OutputStationary,
+            2,
+            "test",
+            "pair",
+        );
+        assert_eq!(diags[0].rule, RuleId::Fus001FusiblePair);
+        // A real saving priced at an absurd element width saturates: a
+        // pointwise producer's 8x8 output tiles dominate the ofmap stream
+        // of a depthwise consumer, so dropping them saves elements.
+        let m = model_of(8);
+        let producer = m.fold_plan(&Op::pointwise(9, 9, 6, 12)).expect("plans");
+        let consumer = m
+            .fold_plan(&Op::depthwise(9, 9, 12, 3, 1, 1))
+            .expect("plans");
+        let ir = PlanIr::from_pair(&producer, &consumer);
+        let diags = diagnose_pair_ir(
+            &ir,
+            8,
+            8,
+            Dataflow::OutputStationary,
+            u64::MAX,
+            "test",
+            "pair",
+        );
+        assert!(
+            diags[0]
+                .message
+                .contains(&format!("saves {} bytes", u64::MAX)),
+            "{}",
+            diags[0].message
+        );
     }
 
     #[test]
@@ -566,12 +908,17 @@ mod tests {
         // covers nor evenly slices 7 channels, so the depthwise output is
         // dead by the slice-or-concat rule.
         let ops = [Op::depthwise(8, 8, 7, 3, 1, 1), Op::pointwise(8, 8, 3, 16)];
-        let diags = diagnose_dead_ops(&model(), &ops, "test");
+        let diags = diagnose_dead_ops(&ops, "test", |i| plan_footprint(&model(), &ops[i]));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, RuleId::Fus005DeadValue);
         assert_eq!(diags[0].severity, Severity::Warning);
+        // One dead output tile per fold, as the IR counts them.
+        let plan = model().fold_plan(&ops[0]).expect("plans");
+        let dead = PlanIr::from_pair(&plan, &[]).dead_values().len();
         assert!(
-            diags[0].message.contains("dead work"),
+            diags[0].message.contains(&format!(
+                "all {dead} output tiles of its fold plan are dead work"
+            )),
             "{}",
             diags[0].message
         );

@@ -38,12 +38,13 @@
 //!    `fuseconv serve` can refuse a million-request simulation of a
 //!    configuration already provably broken.
 //! 10. **Fusion legality** (FUS001–FUS006): liveness, dependence and
-//!     on-array residency proofs over the fold-plan IR
-//!     ([`fuseconv_latency::ir`]) — statically fusible producer/consumer
-//!     pairs (FuSe row/col or depthwise → pointwise) with the exact SRAM
-//!     bytes fusion saves, illegal-fusion findings (residency exceeded,
-//!     dependence cycle, dataflow mismatch), dead-value findings, and a
-//!     per-network fusion-headroom ranking.
+//!     on-array residency proofs for producer/consumer fold-plan pairs,
+//!     priced in closed form from fold footprints and held to the
+//!     fold-plan IR ([`fuseconv_latency::ir`]) in tests — statically
+//!     fusible pairs (FuSe row/col or depthwise → pointwise) with the
+//!     exact SRAM bytes fusion saves, illegal-fusion findings (residency
+//!     exceeded, dependence cycle, dataflow mismatch), dead-value
+//!     findings, and a per-network fusion-headroom ranking.
 //!
 //! Findings are structured [`Diagnostic`]s (stable rule ID, severity,
 //! offending dependence vector, suggested fix) aggregated into

@@ -19,12 +19,14 @@
 //!   compute-stall dominated regardless of its fill/drain overheads.
 
 use crate::diagnostics::{Diagnostic, Report, RuleId, Severity};
+use crate::fusion::PlanFootprint;
 use crate::mapping::analyze_mapping;
 use crate::memory::MemoryBudget;
 use fuseconv_latency::{LatencyError, LatencyModel};
 use fuseconv_models::Network;
 use fuseconv_nn::ops::Op;
 use fuseconv_systolic::legality::{canonical_mapping, DataflowKind};
+use fuseconv_trace::FoldSpec;
 
 /// SRAM element address space assumed by the trace sinks (32-bit).
 const SRAM_ADDRESS_SPACE: u64 = 1 << 32;
@@ -119,6 +121,23 @@ fn operand_footprints(model: &LatencyModel, op: &Op) -> [(&'static str, u64); 3]
 /// Analyzes one operator under one latency model, returning every
 /// finding. `context` labels the findings (e.g. `network/block/op`).
 pub fn analyze_op(model: &LatencyModel, op: &Op, context: &str) -> Vec<Diagnostic> {
+    let plan = if estimated_folds(model, op) <= MAX_UTL003_FOLDS {
+        model.fold_plan(op).ok()
+    } else {
+        None
+    };
+    op_findings(model, op, plan.as_deref(), context)
+}
+
+/// [`analyze_op`] with the operator's fold plan supplied by the caller:
+/// `plan` is `None` when the operator does not plan, or when its plan
+/// would hold more than [`MAX_UTL003_FOLDS`] folds.
+fn op_findings(
+    model: &LatencyModel,
+    op: &Op,
+    plan: Option<&[FoldSpec]>,
+    context: &str,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let cols = model.array().cols();
     let rows = model.array().rows();
@@ -243,13 +262,8 @@ pub fn analyze_op(model: &LatencyModel, op: &Op, context: &str) -> Vec<Diagnosti
     // compute phase actually is rather than bounding it by shape alone.
     // Skipped for shapes whose plan would not fit in memory; those trip
     // the RES rules above instead.
-    let plan = if estimated_folds(model, op) <= MAX_UTL003_FOLDS {
-        model.fold_plan(op).ok()
-    } else {
-        None
-    };
     if let Some(plan) = plan {
-        let counters = fuseconv_perf::PerfCounters::from_fold_plan(&plan, rows, cols);
+        let counters = fuseconv_perf::PerfCounters::from_fold_plan(plan, rows, cols);
         let stall = counters.compute_stall_fraction();
         if stall >= COMPUTE_STALL_THRESHOLD {
             out.push(Diagnostic {
@@ -304,26 +318,33 @@ pub fn analyze_network_with_budget(
         }
     }
 
-    // Operator rules, including the per-plan coverage and memory audits
-    // (the plan is computed once and shared by both rule families).
+    // Operator rules, including the per-plan coverage and memory audits.
+    // Each op is planned once: the plan feeds UTL003, PLAN and MEM, and
+    // only its footprint summary outlives the op, for the fusion pass.
     let label = format!("{}[{}]", net.name(), net.variant_label());
+    let mut footprints = Vec::with_capacity(ops.len());
     for named in &ops {
         let context = format!("{label}/{}/{}", named.block_name, named.op);
-        for d in analyze_op(model, &named.op, &context) {
+        let plan = model.fold_plan(&named.op).ok();
+        let utl003_plan = plan
+            .as_deref()
+            .filter(|_| estimated_folds(model, &named.op) <= MAX_UTL003_FOLDS);
+        for d in op_findings(model, &named.op, utl003_plan, &context) {
             report.push(d);
         }
-        if let Ok(plan) = model.fold_plan(&named.op) {
-            for d in crate::plan::diagnose_plan(model, &named.op, &plan, &context) {
+        if let Some(plan) = &plan {
+            for d in crate::plan::diagnose_plan(model, &named.op, plan, &context) {
                 report.push(d);
             }
-            for d in crate::memory::diagnose_memory(&named.op, &plan, budget, &context) {
+            for d in crate::memory::diagnose_memory(&named.op, plan, budget, &context) {
                 report.push(d);
             }
         }
+        footprints.push(plan.as_deref().map(PlanFootprint::of));
     }
 
-    // Fusion legality over the fold-plan IR.
-    for d in crate::fusion::analyze_fusion(model, net, budget) {
+    // Fusion legality, priced from the footprints.
+    for d in crate::fusion::fusion_findings(model, net, budget, &mut |i, _| footprints[i]) {
         report.push(d);
     }
 

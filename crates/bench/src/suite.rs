@@ -158,11 +158,11 @@ pub fn run_suite(h: &mut Micro) -> Vec<SuiteBench> {
     });
     out.push(record(h, cycles));
 
-    // Fusion-legality analysis over the fold-plan IR: lifts every
-    // FuSe row/col -> pointwise pair of FuSe-Full MobileNet-V2, runs the
-    // liveness/dependence checks and prices the SRAM savings. `cycles` is
-    // the analytic fold-plan total of the analyzed network, so the figure
-    // reads as "modeled cycles statically audited per second".
+    // Fusion-legality analysis: plans every FuSe row/col -> pointwise
+    // pair of FuSe-Full MobileNet-V2 and prices its SRAM savings in closed
+    // form from the two plans' fold footprints. `cycles` is the analytic
+    // fold-plan total of the analyzed network, so the figure reads as
+    // "modeled cycles statically audited per second".
     let fused_v2 = zoo::mobilenet_v2().transform_all(fuseconv_nn::FuSeVariant::Full);
     let budget = fuseconv_analyze::MemoryBudget::paper_default();
     let fused_cycles: u64 = fused_v2

@@ -30,9 +30,13 @@
 //!   covered by on-array residency never needs its SRAM round-trip, and
 //!   [`PlanIr::high_water_without`] prices exactly that saving.
 //!
-//! The `FUS` rule family (`fuseconv_analyze::fusion`) is the first
-//! client; the fusing scheduler, sparsity packing and fast-simulator
-//! skip-ahead of the roadmap build on the same graph.
+//! The `FUS` rule family (`fuseconv_analyze::fusion`) prices each
+//! producer/consumer pair in closed form from the two plans'
+//! [`fold_footprint`]s, without building the graph; [`PlanIr::from_pair`]
+//! and the analyses here are the oracle its unit tests hold that closed
+//! form to, field by field, and the rules still run on hand-built IRs
+//! (`diagnose_pair_ir`). The fusing scheduler, sparsity packing and
+//! fast-simulator skip-ahead of the roadmap build on the same graph.
 
 use crate::audit::{fold_footprint, FoldFootprint};
 use fuseconv_trace::{tag_plan, FoldSpec};
@@ -360,11 +364,12 @@ impl PlanIr {
                 continue;
             }
             let fp = &mut per_node[v.staged_at];
-            match v.class {
-                ValueClass::Ifmap => fp.ifmap_elems += v.elems,
-                ValueClass::Filter => fp.filter_elems += v.elems,
-                ValueClass::Ofmap => fp.ofmap_elems += v.elems,
-            }
+            let stream = match v.class {
+                ValueClass::Ifmap => &mut fp.ifmap_elems,
+                ValueClass::Filter => &mut fp.filter_elems,
+                ValueClass::Ofmap => &mut fp.ofmap_elems,
+            };
+            *stream = stream.saturating_add(v.elems);
         }
         per_node
             .into_iter()
